@@ -10,7 +10,7 @@ import (
 )
 
 // drain drains a scheduler with a test-scoped deadline.
-func drain(t *testing.T, s Scheduler) {
+func drain(t *testing.T, s *Fair) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -142,6 +142,34 @@ func TestFairInteractiveBeforeBatch(t *testing.T) {
 	drain(t, f)
 	if len(order) != 3 || order[0] != "interactive" {
 		t.Fatalf("dispatch order %v, want interactive first", order)
+	}
+}
+
+// TestFairSingleTenantIsFIFO: with one tenant and one class, dispatch
+// is exact submission order.
+func TestFairSingleTenantIsFIFO(t *testing.T) {
+	f, release := gatedFair(t, FairConfig{})
+	var mu sync.Mutex
+	var order []string
+	want := []string{"j1", "j2", "j3", "j4", "j5", "j6", "j7", "j8"}
+	for _, name := range want {
+		if err := f.Submit("solo", Batch, func(context.Context) {
+			mu.Lock()
+			order = append(order, name)
+			mu.Unlock()
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(release)
+	drain(t, f)
+	if len(order) != len(want) {
+		t.Fatalf("ran %d tasks, want %d", len(order), len(want))
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("dispatch order %v, want %v", order, want)
+		}
 	}
 }
 
@@ -396,5 +424,20 @@ func TestParseTenantSpec(t *testing.T) {
 		if _, err := ParseTenantSpec(bad); err == nil {
 			t.Errorf("spec %q parsed without error", bad)
 		}
+	}
+}
+
+func TestParseClass(t *testing.T) {
+	for in, want := range map[string]Class{"": Batch, "batch": Batch, "interactive": Interactive} {
+		got, err := ParseClass(in)
+		if err != nil || got != want {
+			t.Errorf("ParseClass(%q) = %v, %v", in, got, err)
+		}
+	}
+	if _, err := ParseClass("realtime"); err == nil {
+		t.Error("ParseClass accepted an unknown class")
+	}
+	if Interactive.String() != "interactive" || Batch.String() != "batch" {
+		t.Error("Class.String round trip broken")
 	}
 }

@@ -231,6 +231,24 @@ func TestDeltaRejections(t *testing.T) {
 			t.Fatalf("error %q should name the missing edge", e.Error)
 		}
 	})
+	t.Run("endpoint out of range", func(t *testing.T) {
+		// Apply sizes the patched graph from its largest endpoint, so a
+		// 2^40 endpoint must be refused before anything is allocated
+		// (the allocation failure would be a fatal, unrecoverable OOM),
+		// and the server must keep serving afterwards.
+		status, e, _ := postJSON(t, ts, fmt.Sprintf(
+			`{"base":%q,"diff":{"add":[[0,1099511627776],[0,1099511627776]]}}`, fp))
+		if status != http.StatusBadRequest || e.Code != codeBadRequest {
+			t.Fatalf("status %d code %q, want 400 %s", status, e.Code, codeBadRequest)
+		}
+		e0 := gen.RingOfCliques(3, 5).Edge(0)
+		status, _, ok := postJSON(t, ts, fmt.Sprintf(
+			`{"base":%q,"diff":{"add":[[%d,%d],[%d,%d]]}}`, fp, e0.U, e0.V, e0.U, e0.V))
+		if status != http.StatusAccepted {
+			t.Fatalf("well-formed delta after the rejection: status %d", status)
+		}
+		waitState(t, ts, ok.ID, job.StateDone)
+	})
 	t.Run("engine-option override", func(t *testing.T) {
 		status, e, _ := postJSON(t, ts, fmt.Sprintf(`{"base":%q,"parts":3,"diff":{"add":[[0,1]]}}`, fp))
 		if status != http.StatusBadRequest || e.Code != codeBadRequest {

@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -57,9 +58,11 @@ func specRoutes(t *testing.T, path string) map[string]bool {
 // scripts/openapi_routes_check.sh (and CI); with -dump it prints the
 // served route table instead of checking.
 func TestOpenAPIRouteSync(t *testing.T) {
+	sc := sched.NewFair(sched.FairConfig{Workers: 1})
+	t.Cleanup(func() { sc.Drain(context.Background()) })
 	s := New(Config{
 		Store:   job.NewStore(1),
-		Sched:   sched.NewFIFO(1, 1),
+		Sched:   sc,
 		DataDir: t.TempDir(),
 	})
 	served := make(map[string]bool)

@@ -73,7 +73,7 @@ type ClusterStatus interface {
 // Server wires the job store, the scheduler, and the HTTP handlers.
 type Server struct {
 	jobs    *job.Store
-	sched   sched.Scheduler
+	sched   *sched.Fair
 	cache   *sched.ResultCache
 	deltas  *sched.DeltaStore
 	dataDir string
@@ -84,7 +84,7 @@ type Server struct {
 	// estimated input size reaches batchEdges queue here, with their own
 	// worker pool and quotas, so one huge solve cannot starve the
 	// interactive lane.
-	batchSched sched.Scheduler
+	batchSched *sched.Fair
 	batchEdges int64
 	// oocEdges routes uploaded euler jobs with at least this many
 	// declared edges to the out-of-core engine (0 = never); graphMemBytes
@@ -111,9 +111,8 @@ type Server struct {
 type Config struct {
 	// Store is the job registry (required).
 	Store *job.Store
-	// Sched is the scheduler feeding the worker pool (required); see
-	// sched.NewFair and sched.NewFIFO.
-	Sched sched.Scheduler
+	// Sched is the scheduler feeding the worker pool (required).
+	Sched *sched.Fair
 	// DataDir is where per-job scratch directories are created
 	// (required; must exist).
 	DataDir string
@@ -135,7 +134,7 @@ type Config struct {
 	// scheduler lane for big jobs: submissions whose estimated edge
 	// count reaches the threshold queue here instead of on Sched.  The
 	// caller owns both schedulers' lifecycles (drain order included).
-	BatchSched sched.Scheduler
+	BatchSched *sched.Fair
 	// BatchEdgeThreshold is the estimated-edge floor for BatchSched
 	// routing; ignored when BatchSched is nil.
 	BatchEdgeThreshold int64
@@ -239,6 +238,16 @@ type localRunner struct{}
 
 // RunCircuit implements CircuitRunner.
 func (localRunner) RunCircuit(ctx context.Context, spec job.Spec, dir string, g *graph.Graph, emit func(graph.Step) error) (*euler.Report, error) {
+	return euler.FindCircuitStream(g, emit, engineOptions(spec, dir)...)
+}
+
+// engineOptions translates a spec's engine settings into facade options;
+// every local solve path (in-memory, retained, out-of-core) uses it, so
+// they all solve under the same parts, seed and mode.  The spill
+// directory only applies when the spec asks to spill;
+// FindCircuitStreamSource ignores it and takes its directory as an
+// argument instead.
+func engineOptions(spec job.Spec, dir string) []euler.Option {
 	var opts []euler.Option
 	if spec.Parts > 0 {
 		opts = append(opts, euler.WithPartitions(spec.Parts))
@@ -251,7 +260,7 @@ func (localRunner) RunCircuit(ctx context.Context, spec job.Spec, dir string, g 
 	if spec.Spill {
 		opts = append(opts, euler.WithSpillDir(dir))
 	}
-	return euler.FindCircuitStream(g, emit, opts...)
+	return opts
 }
 
 // errorBody is the uniform error response shape: every non-2xx answer
@@ -593,7 +602,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // is configured, everything else to the interactive scheduler.  Jobs do
 // not carry their lane, so every decision point (submit, promotion)
 // recomputes it from the same spec and lands on the same answer.
-func (s *Server) schedFor(spec *job.Spec) sched.Scheduler {
+func (s *Server) schedFor(spec *job.Spec) *sched.Fair {
 	if s.batchSched != nil && spec.EstimatedEdges() >= s.batchEdges {
 		return s.batchSched
 	}
@@ -666,6 +675,18 @@ func (s *Server) resolveDelta(tenant string, spec *job.Spec) (*sched.DeltaEntry,
 	if entry.Opts.Kind != spec.Kind {
 		return nil, nil, http.StatusBadRequest,
 			fmt.Errorf("base %s is a %s job, not %s", spec.Base, entry.Opts.Kind, spec.Kind)
+	}
+	// Apply sizes the patched graph from its largest added endpoint, so
+	// bound those before it allocates: a diff of at most MaxDiffEdges
+	// edges can introduce at most two new vertices per edge.  Removals
+	// allocate nothing; Apply reports their missing edges itself.
+	limit := entry.NumVertices + 2*job.MaxDiffEdges
+	for _, p := range spec.Diff.Add {
+		if p[0] >= limit || p[1] >= limit {
+			return nil, nil, http.StatusBadRequest,
+				fmt.Errorf("diff edge [%d %d] is out of range: base has %d vertices, added edges must stay below vertex %d",
+					p[0], p[1], entry.NumVertices, limit)
+		}
 	}
 	// Applying the diff rebuilds the whole patched graph, so it takes a
 	// build slot like any other submission-time graph build.
@@ -975,16 +996,7 @@ func (s *Server) runJob(poolCtx context.Context, j *job.Job, lease *sched.Lease)
 		// through to run; the out-of-core run reads adjacency from the
 		// paged CSR instead and is byte-identical to the in-memory solve.
 		run = func(ctx context.Context, _ *graph.Graph, emit func(graph.Step) error) (*euler.Report, error) {
-			var opts []euler.Option
-			if j.Spec.Parts > 0 {
-				opts = append(opts, euler.WithPartitions(j.Spec.Parts))
-			}
-			if j.Spec.Seed != 0 {
-				opts = append(opts, euler.WithSeed(j.Spec.Seed))
-			}
-			mode, _ := job.ParseMode(j.Spec.Mode) // validated at submit
-			opts = append(opts, euler.WithMode(mode))
-			return euler.FindCircuitStreamSource(pg, j.Dir, emit, opts...)
+			return euler.FindCircuitStreamSource(pg, j.Dir, emit, engineOptions(j.Spec, j.Dir)...)
 		}
 	}
 	// Local euler runs additionally retain replay state when delta
@@ -1057,21 +1069,9 @@ func (s *Server) runJob(poolCtx context.Context, j *job.Job, lease *sched.Lease)
 
 // runRetained is the localRunner solve path with replay-state retention:
 // delta jobs solve against their base's retained record, everything else
-// records a fresh one.  Engine options mirror localRunner.RunCircuit.
+// records a fresh one.
 func runRetained(j *job.Job, g *graph.Graph, emit func(graph.Step) error) (*euler.Report, []byte, error) {
-	spec := j.Spec
-	var opts []euler.Option
-	if spec.Parts > 0 {
-		opts = append(opts, euler.WithPartitions(spec.Parts))
-	}
-	if spec.Seed != 0 {
-		opts = append(opts, euler.WithSeed(spec.Seed))
-	}
-	mode, _ := job.ParseMode(spec.Mode) // validated at submit
-	opts = append(opts, euler.WithMode(mode))
-	if spec.Spill {
-		opts = append(opts, euler.WithSpillDir(j.Dir))
-	}
+	opts := engineOptions(j.Spec, j.Dir)
 	if state := j.DeltaState(); state != nil {
 		return euler.FindCircuitStreamDelta(g, emit, state, opts...)
 	}

@@ -24,7 +24,7 @@ import (
 
 // newSchedServer wires an API server over the given scheduler, with an
 // optional result cache.
-func newSchedServer(t *testing.T, sc sched.Scheduler, cache *sched.ResultCache) (*Server, *httptest.Server) {
+func newSchedServer(t *testing.T, sc *sched.Fair, cache *sched.ResultCache) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(Config{
 		Store:   job.NewStore(50),
@@ -589,38 +589,6 @@ func TestBacklogFullRejectsSubmission(t *testing.T) {
 	// The bounced job must not linger in the store.
 	if s.jobs.Len() != 2 {
 		t.Fatalf("store len = %d after bounce, want 2", s.jobs.Len())
-	}
-}
-
-// TestFIFOFallbackRejectsLikeLegacy: the FIFO scheduler reproduces the
-// single-backlog behavior (any tenant fills the shared queue) while
-// still answering with the structured throttle response.
-func TestFIFOFallbackRejectsLikeLegacy(t *testing.T) {
-	s, ts := newSchedServer(t, sched.NewFIFO(1, 1), nil)
-	release := make(chan struct{})
-	defer close(release)
-	s.beforeRun = func(j *job.Job) { <-release }
-
-	a := submitJSON(t, ts, `{"generator":{"family":"torus","width":4,"height":4}}`)
-	waitState(t, ts, a.ID, job.StateRunning)
-	submitJSON(t, ts, `{"generator":{"family":"torus","width":4,"height":4}}`)
-
-	// A different tenant shares the FIFO backlog, so it bounces too —
-	// the pre-scheduler behavior.
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs",
-		strings.NewReader(`{"generator":{"family":"torus"}}`))
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Tenant", "someone-else")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("FIFO full backlog: status %d, want 429", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("FIFO 429 without a Retry-After header")
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/euler"
 	"repro/internal/graph"
+	"repro/internal/jobkind"
 )
 
 func TestSinkRoundTrip(t *testing.T) {
@@ -298,6 +299,26 @@ func TestSpecValidate(t *testing.T) {
 		{"negative parts", Spec{Generator: &GenSpec{Family: "torus"}, Parts: -1}, false},
 		{"even clique", Spec{Generator: &GenSpec{Family: "cliques", C: 4}}, false},
 		{"rmat too big", Spec{Generator: &GenSpec{Family: "rmat", Vertices: 1 << 30}}, false},
+		{"add ok", Spec{Base: "ab", Diff: diffAdd([2]int64{0, 1}, [2]int64{0, 1})}, true},
+		{"remove ok", Spec{Base: "ab", Diff: &DiffSpec{Remove: pairs(2)}}, true},
+		{"at cap", Spec{Base: "ab", Diff: &DiffSpec{Add: pairs(MaxDiffEdges / 2), Remove: pairs(MaxDiffEdges / 2)}}, true},
+		// Only the server knows the base's vertex count, so a huge
+		// endpoint passes here and is bounded when the base resolves.
+		{"huge endpoint", Spec{Base: "ab", Diff: diffAdd([2]int64{0, 1 << 40})}, true},
+		{"missing base", Spec{Diff: diffAdd([2]int64{0, 1})}, false},
+		{"missing diff", Spec{Base: "ab"}, false},
+		{"empty diff", Spec{Base: "ab", Diff: &DiffSpec{}}, false},
+		{"with generator", Spec{Base: "ab", Diff: diffAdd([2]int64{0, 1}), Generator: &GenSpec{Family: "torus"}}, false},
+		{"with upload", Spec{Base: "ab", Diff: diffAdd([2]int64{0, 1}), GraphFile: "x"}, false},
+		{"parts override", Spec{Base: "ab", Diff: diffAdd([2]int64{0, 1}), Parts: 2}, false},
+		{"mode override", Spec{Base: "ab", Diff: diffAdd([2]int64{0, 1}), Mode: "proposed"}, false},
+		{"seed override", Spec{Base: "ab", Diff: diffAdd([2]int64{0, 1}), Seed: 7}, false},
+		{"kind spec", Spec{Base: "ab", Diff: diffAdd([2]int64{0, 1}), DeBruijn: &jobkind.DeBruijnSpec{}}, false},
+		{"over cap across lists", Spec{Base: "ab", Diff: &DiffSpec{Add: pairs(MaxDiffEdges / 2), Remove: pairs(MaxDiffEdges/2 + 1)}}, false},
+		{"too many edges", Spec{Base: "ab", Diff: &DiffSpec{Add: pairs(MaxDiffEdges + 1)}}, false},
+		{"negative add endpoint", Spec{Base: "ab", Diff: diffAdd([2]int64{-1, 1})}, false},
+		{"negative remove endpoint", Spec{Base: "ab", Diff: &DiffSpec{Remove: [][2]int64{{1, -3}}}}, false},
+		{"self loop", Spec{Base: "ab", Diff: diffAdd([2]int64{4, 4})}, false},
 	}
 	for _, c := range cases {
 		err := c.spec.Validate()
@@ -307,6 +328,13 @@ func TestSpecValidate(t *testing.T) {
 		if !c.ok && err == nil {
 			t.Errorf("%s: expected error", c.name)
 		}
+	}
+
+	// A kind without delta support refuses with a structured error.
+	s := Spec{Kind: "postman", Base: "ab", Diff: diffAdd([2]int64{0, 1})}
+	var se *jobkind.SpecError
+	if err := s.Validate(); !errors.As(err, &se) || se.Code != "delta_unsupported" {
+		t.Fatalf("postman delta: Validate() = %v, want delta_unsupported", err)
 	}
 
 	// Defaults are applied in place.
