@@ -297,7 +297,7 @@ func runServerRole(coordinator bool, cfg serverConfig) {
 	mux := http.NewServeMux()
 	mux.Handle("/v1/", api.Handler())
 	mux.Handle("/debug/vars", expvar.Handler())
-	srv := &http.Server{Addr: cfg.addr, Handler: mux}
+	srv := newHTTPServer(cfg.addr, mux)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -342,6 +342,24 @@ func runServerRole(coordinator bool, cfg serverConfig) {
 		}
 	}
 	fmt.Println("eulerd: bye")
+}
+
+// HTTP connection timeouts: a slow-header or idle client cannot pin a
+// connection, while whole-request read and write stay unbounded for
+// 256 MiB uploads and long circuit streams.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the API server with the connection timeouts above.
+func newHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 func fatal(err error) {

@@ -138,10 +138,10 @@ type Circuit struct {
 // bad circuits.
 func FindCircuit(g *Graph, opts ...Option) (*Circuit, error) {
 	var c Circuit
-	report, err := findCircuit(g, func(s Step) error {
+	report, _, err := solve(g, func(s Step) error {
 		c.Steps = append(c.Steps, s)
 		return nil
-	}, opts...)
+	}, euler.Config{}, "", opts)
 	if err != nil {
 		return nil, err
 	}
@@ -153,34 +153,31 @@ func FindCircuit(g *Graph, opts ...Option) (*Circuit, error) {
 // each step in circuit order, so the circuit never needs to fit in the
 // caller's memory.
 func FindCircuitStream(g *Graph, emit func(Step) error, opts ...Option) (*Report, error) {
-	report, _, err := findCircuitRetain(g, emit, false, nil, opts)
+	report, _, err := solve(g, emit, euler.Config{}, "", opts)
 	return report, err
 }
 
-// FindCircuitStreamRetain is FindCircuitStream plus delta retention: the
+// FindCircuitStreamDelta is FindCircuitStream with delta retention: the
 // second return value is an opaque replay record (the pristine plan and
-// every partition's Phase 1 outcome) that a later FindCircuitStreamDelta
-// call can reuse when solving a slightly different graph.
-func FindCircuitStreamRetain(g *Graph, emit func(Step) error, opts ...Option) (*Report, []byte, error) {
-	return findCircuitRetain(g, emit, true, nil, opts)
-}
-
-// FindCircuitStreamDelta solves g — typically a small edit of a previously
-// solved graph — reusing the retained record of the earlier solve:
-// partitions whose inputs are byte-identical to the base run are replayed
-// instead of re-toured (Report.ReusedParts counts them), and the emitted
-// circuit is byte-identical to a from-scratch FindCircuitStream of g.  The
-// caller must pass the same partitioning options as the base run; retained
-// must come from FindCircuitStreamRetain or an earlier
-// FindCircuitStreamDelta (the second return value, for chaining).
-// Structural drift between the runs degrades to a full recompute, never to
-// a wrong circuit.
+// every partition's Phase 1 outcome) for a later call on a slightly
+// different graph.  With retained nil the solve runs from scratch and
+// records a fresh base.  Otherwise retained is such a record from an
+// earlier call with the same partitioning options: partitions whose
+// inputs are byte-identical to the base run are replayed instead of
+// re-toured (Report.ReusedParts counts them), and the emitted circuit is
+// byte-identical to a from-scratch FindCircuitStream of g.  Structural
+// drift between the runs degrades to a full recompute, never to a wrong
+// circuit.
 func FindCircuitStreamDelta(g *Graph, emit func(Step) error, retained []byte, opts ...Option) (*Report, []byte, error) {
-	base, err := euler.DecodeRunRecord(retained)
-	if err != nil {
-		return nil, nil, fmt.Errorf("euler: decoding retained record: %w", err)
+	cfg := euler.Config{Record: true}
+	if retained != nil {
+		base, err := euler.DecodeRunRecord(retained)
+		if err != nil {
+			return nil, nil, fmt.Errorf("euler: decoding retained record: %w", err)
+		}
+		cfg.Replay = base
 	}
-	return findCircuitRetain(g, emit, true, base, opts)
+	return solve(g, emit, cfg, "", opts)
 }
 
 // resolveOptions applies the option defaults, rejects invalid partition
@@ -188,11 +185,7 @@ func FindCircuitStreamDelta(g *Graph, emit func(Step) error, retained []byte, op
 // that accepts ...Option resolves through here, and the policy itself
 // (euler.ResolveParts/ResolveSeed) is shared with the cluster runner so
 // the two execution paths cannot drift.
-func resolveOptions(g *Graph, opts []Option) (Options, error) {
-	return resolveOptionsN(g.NumVertices(), opts)
-}
-
-func resolveOptionsN(vertices int64, opts []Option) (Options, error) {
+func resolveOptions(vertices int64, opts []Option) (Options, error) {
 	o := Options{parts: euler.DefaultParts, seed: euler.DefaultSeed}
 	for _, opt := range opts {
 		opt(&o)
@@ -205,13 +198,14 @@ func resolveOptionsN(vertices int64, opts []Option) (Options, error) {
 	return o, nil
 }
 
-func findCircuit(g *Graph, emit func(Step) error, opts ...Option) (*Report, error) {
-	report, _, err := findCircuitRetain(g, emit, false, nil, opts)
-	return report, err
-}
-
-func findCircuitRetain(g *Graph, emit func(Step) error, record bool, replay *euler.RunRecord, opts []Option) (*Report, []byte, error) {
-	o, err := resolveOptions(g, opts)
+// solve is the one facade solve body: resolve options, assign vertices
+// (LDG unless WithAssignment), open the path-body spill store, run
+// Phases 1 and 2, and unroll the circuit through emit.  cfg carries the
+// caller's path settings (record/replay, out-of-core leaf store); the
+// options fill in the rest.  spillDir, when set, overrides WithSpillDir.
+// The returned bytes encode cfg.Record's replay record.
+func solve(src graph.Source, emit func(Step) error, cfg euler.Config, spillDir string, opts []Option) (*Report, []byte, error) {
+	o, err := resolveOptions(src.NumVertices(), opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -219,27 +213,21 @@ func findCircuitRetain(g *Graph, emit func(Step) error, record bool, replay *eul
 	if o.assign != nil {
 		a = *o.assign
 	} else {
-		a = partition.LDG(g, o.parts, o.seed)
+		a = partition.LDG(src, o.parts, o.seed)
 	}
-
-	var store spill.Store
-	if o.spillDir != "" {
-		ds, err := spill.NewDiskStore(filepath.Join(o.spillDir, euler.SpillLogName))
+	if spillDir == "" {
+		spillDir = o.spillDir
+	}
+	if spillDir != "" {
+		ds, err := spill.NewDiskStore(filepath.Join(spillDir, euler.SpillLogName))
 		if err != nil {
 			return nil, nil, fmt.Errorf("euler: opening spill store: %w", err)
 		}
 		defer ds.Close()
-		store = ds
+		cfg.Store = ds
 	}
-
-	res, err := euler.Run(g, a, euler.Config{
-		Mode:     o.mode,
-		Store:    store,
-		Cost:     o.cost,
-		Validate: o.validate,
-		Record:   record,
-		Replay:   replay,
-	})
+	cfg.Mode, cfg.Cost, cfg.Validate = o.mode, o.cost, o.validate
+	res, err := euler.Run(src, a, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -267,13 +255,8 @@ type GraphSource = graph.Source
 // one partition's state is resident at once.  The emitted circuit is
 // byte-identical to FindCircuitStream over the equivalent in-memory graph.
 // spillDir "" uses a fresh OS temp directory removed when the call
-// returns.  Record/Replay (delta retention) are not supported on this
-// path.
+// returns.
 func FindCircuitStreamSource(g GraphSource, spillDir string, emit func(Step) error, opts ...Option) (*Report, error) {
-	o, err := resolveOptionsN(g.NumVertices(), opts)
-	if err != nil {
-		return nil, err
-	}
 	dir := spillDir
 	if dir == "" {
 		tmp, err := os.MkdirTemp("", "eulerooc-")
@@ -285,39 +268,13 @@ func FindCircuitStreamSource(g GraphSource, spillDir string, emit func(Step) err
 	} else if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("euler: creating spill dir: %w", err)
 	}
-	var a Assignment
-	if o.assign != nil {
-		a = *o.assign
-	} else {
-		a = partition.LDG(g, o.parts, o.seed)
-	}
-	store, err := spill.NewDiskStore(filepath.Join(dir, euler.SpillLogName))
-	if err != nil {
-		return nil, fmt.Errorf("euler: opening spill store: %w", err)
-	}
-	defer store.Close()
 	initStore, err := spill.NewDiskStore(filepath.Join(dir, "leaf-init.log"))
 	if err != nil {
 		return nil, fmt.Errorf("euler: opening leaf-state store: %w", err)
 	}
 	defer initStore.Close()
-
-	res, err := euler.Run(g, a, euler.Config{
-		Mode:       o.mode,
-		Store:      store,
-		Cost:       o.cost,
-		Validate:   o.validate,
-		Sequential: true,
-		InitStore:  initStore,
-		ScratchDir: dir,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := res.Registry.Unroll(emit); err != nil {
-		return nil, err
-	}
-	return res.Report, nil
+	report, _, err := solve(g, emit, euler.Config{Sequential: true, InitStore: initStore, ScratchDir: dir}, dir, opts)
+	return report, err
 }
 
 // CheckInputSource is CheckInput over a GraphSource: the even-degree scan
@@ -379,7 +336,7 @@ func PartitionHash(g *Graph, k int32) Assignment { return partition.Hash(g, k) }
 // with a virtual edge and rotated; see internal/postman).  The walk starts
 // at one odd vertex, ends at the other, and covers every edge once.
 func FindEulerPath(g *Graph, opts ...Option) ([]Step, error) {
-	o, err := resolveOptions(g, opts)
+	o, err := resolveOptions(g.NumVertices(), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -393,7 +350,7 @@ func FindEulerPath(g *Graph, opts ...Option) ([]Step, error) {
 // covering every edge at least once.  Tour.Revisits counts the deadheading
 // traversals.
 func CoveringTour(g *Graph, opts ...Option) (*postman.Tour, error) {
-	o, err := resolveOptions(g, opts)
+	o, err := resolveOptions(g.NumVertices(), opts)
 	if err != nil {
 		return nil, err
 	}

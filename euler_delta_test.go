@@ -55,7 +55,7 @@ func TestDeltaReusesCleanPartitions(t *testing.T) {
 
 	var retained []byte
 	baseSteps := collectSteps(t, func(emit func(Step) error) error {
-		_, r, err := FindCircuitStreamRetain(base, emit, opts...)
+		_, r, err := FindCircuitStreamDelta(base, emit, nil, opts...)
 		retained = r
 		return err
 	})
@@ -119,7 +119,7 @@ func TestDeltaByteIdenticalProperty(t *testing.T) {
 		t.Run(fmt.Sprintf("trial=%d/parts=%d/mode=%v", trial, parts, mode), func(t *testing.T) {
 			var retained []byte
 			baseSteps := collectSteps(t, func(emit func(Step) error) error {
-				_, r, err := FindCircuitStreamRetain(g, emit, opts...)
+				_, r, err := FindCircuitStreamDelta(g, emit, nil, opts...)
 				retained = r
 				return err
 			})
@@ -157,7 +157,7 @@ func TestDeltaRetainedRecordRoundTrip(t *testing.T) {
 	g := NewTorus(6, 6)
 	var retained []byte
 	collectSteps(t, func(emit func(Step) error) error {
-		_, r, err := FindCircuitStreamRetain(g, emit, WithPartitions(3))
+		_, r, err := FindCircuitStreamDelta(g, emit, nil, WithPartitions(3))
 		retained = r
 		return err
 	})

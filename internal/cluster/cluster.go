@@ -17,6 +17,7 @@ import (
 	"repro/internal/bsp"
 	"repro/internal/euler"
 	"repro/internal/graph"
+	"repro/internal/jobkind"
 	"repro/internal/partition"
 	"repro/internal/service/job"
 	"repro/internal/spill"
@@ -305,7 +306,7 @@ func (r *Runner) RunCircuit(ctx context.Context, spec job.Spec, dir string, g *g
 		return nil, err
 	}
 	seed := euler.ResolveSeed(spec.Seed)
-	mode, err := job.ParseMode(spec.Mode)
+	mode, err := jobkind.ParseMode(spec.Mode)
 	if err != nil {
 		return nil, err
 	}

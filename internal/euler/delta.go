@@ -123,10 +123,12 @@ func buildReplaySet(plan *Plan, base *RunRecord) map[nodeKey]*NodeRecord {
 	n := plan.NumWorkers
 	leafDirty := make([]bool, n)
 	for w := 0; w < n; w++ {
-		if !bytes.Equal(plan.EncodedInit[w], basePlan.EncodedInit[w]) ||
-			!poolsEqual(plan.Parked[w], basePlan.Parked[w]) {
-			leafDirty[w] = true
-		}
+		// A leaf state that cannot be read is treated as dirty: replay is
+		// an optimisation, recompute is always correct.
+		init, err := plan.Init.Get(int64(w))
+		baseInit, baseErr := basePlan.Init.Get(int64(w))
+		leafDirty[w] = err != nil || baseErr != nil || !bytes.Equal(init, baseInit) ||
+			!poolsEqual(plan.Parked[w], basePlan.Parked[w])
 	}
 	byNode := make(map[nodeKey]*NodeRecord, len(base.Nodes))
 	for i := range base.Nodes {

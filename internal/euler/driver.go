@@ -38,10 +38,8 @@ type Config struct {
 	Replay *RunRecord
 	// InitStore switches plan building to the out-of-core leaf path:
 	// leaf states are encoded into this store (keyed by worker ID) one
-	// partition at a time instead of being held in Plan.EncodedInit, and
-	// workers decode them lazily at superstep 0.  The full edge list is
-	// never resident.  Out-of-core plans cannot be sliced for cluster
-	// shipment (EncodeSlice fails); they are a single-process facility.
+	// partition at a time, so the full edge list is never resident, and
+	// it becomes the plan's Init store.  nil keeps them in memory.
 	InitStore spill.Store
 	// ScratchDir hosts the out-of-core leaf build's temp bucket files
 	// ("" = the OS temp dir).  Only read when InitStore is set.
@@ -74,9 +72,6 @@ const (
 // point straight at the Registry.  The cluster coordinator reuses the same
 // plan and program over a TCP transport (see internal/cluster).
 func Run(g graph.Source, a partition.Assignment, cfg Config) (*Result, error) {
-	if cfg.InitStore != nil && (cfg.Record || cfg.Replay != nil) {
-		return nil, fmt.Errorf("euler: out-of-core runs (InitStore) do not support Record/Replay")
-	}
 	plan, tree, err := BuildPlan(g, a, cfg)
 	if err != nil {
 		return nil, err
@@ -92,7 +87,6 @@ func Run(g graph.Source, a partition.Assignment, cfg Config) (*Result, error) {
 		store:   store,
 		visited: registry.IsVisited,
 		absorb:  registry.Absorb,
-		init:    cfg.InitStore,
 	}
 
 	// Retention must snapshot the plan before the engine consumes its

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/partition"
+	"repro/internal/spill"
 )
 
 // Plan is the static schedule of one distributed run, computed once by the
@@ -15,9 +16,9 @@ import (
 // pools.  A Plan (or a slice of one) is everything a worker needs to host
 // its range of the run — workers never see the input graph itself.
 //
-// Lo and Hi bound the worker range the per-worker slices cover:
-// EncodedInit[w-Lo] and Parked[w-Lo] belong to worker w.  A full plan has
-// Lo == 0, Hi == NumWorkers.
+// Lo and Hi bound the worker range the plan hosts: Init holds worker w's
+// leaf state under key w, and Parked[w-Lo] its parked pools.  A full plan
+// has Lo == 0, Hi == NumWorkers.
 type Plan struct {
 	NumWorkers  int
 	NumVertices int64
@@ -36,8 +37,11 @@ type Plan struct {
 	// level l (RepAt[Height] is the root for all).
 	RepAt [][]int32
 
-	// EncodedInit holds each hosted worker's EncodeState leaf state.
-	EncodedInit [][]byte
+	// Init holds each hosted worker's EncodeState leaf state, keyed by
+	// worker ID: Config.InitStore for out-of-core plans, an in-memory
+	// store otherwise (and for decoded slices).  Superstep 0 decodes it,
+	// the paper's "create partition object from its storage format".
+	Init spill.Store
 	// Parked holds each hosted worker's deferred remote-edge pools
 	// (ModeProposed), keyed by conversion level.
 	Parked []map[int32][]RemoteEdge
@@ -96,26 +100,20 @@ func BuildPlan(g graph.Source, a partition.Assignment, cfg Config) (*Plan, *Merg
 		Hi:          n,
 	}
 
-	if cfg.InitStore != nil {
+	if p.Init = cfg.InitStore; p.Init != nil {
 		// Out-of-core: leaf states spill to the store one partition at a
-		// time; EncodedInit stays nil and workers load lazily.
-		parkedPools, err := BuildSpilledLeafStates(g, a, tree, cfg.Mode, cfg.ScratchDir, cfg.InitStore)
-		if err != nil {
-			return nil, nil, err
-		}
-		p.Parked = parkedPools
+		// time, so the full edge list is never resident.
+		p.Parked, err = BuildSpilledLeafStates(g, a, tree, cfg.Mode, cfg.ScratchDir, p.Init)
 	} else {
-		states, parkedPools, err := BuildLeafStates(g, a, tree, cfg.Mode)
-		if err != nil {
-			return nil, nil, err
+		var states []*PartState
+		states, p.Parked, err = BuildLeafStates(g, a, tree, cfg.Mode)
+		p.Init = spill.NewMemStore()
+		for i := 0; err == nil && i < len(states); i++ {
+			err = spill.PutOwned(p.Init, int64(i), EncodeState(states[i]))
 		}
-		p.Parked = parkedPools
-		// Pre-encode leaf states: decoding them at superstep 0 is the
-		// paper's "create partition object from its storage format".
-		p.EncodedInit = make([][]byte, n)
-		for i, s := range states {
-			p.EncodedInit[i] = EncodeState(s)
-		}
+	}
+	if err != nil {
+		return nil, nil, err
 	}
 
 	// Per-level schedule lookups, dense over the worker IDs.
@@ -164,9 +162,6 @@ func (p *Plan) EncodeSlice(lo, hi int) ([]byte, error) {
 	if lo < p.Lo || hi > p.Hi || lo >= hi {
 		return nil, fmt.Errorf("euler: plan slice [%d, %d) outside held range [%d, %d)", lo, hi, p.Lo, p.Hi)
 	}
-	if p.EncodedInit == nil {
-		return nil, fmt.Errorf("euler: out-of-core plan (spilled leaf states) cannot be sliced for shipment")
-	}
 	dst := binary.AppendUvarint([]byte{WireV3}, uint64(p.NumWorkers))
 	dst = binary.AppendUvarint(dst, uint64(p.NumVertices))
 	dst = binary.AppendUvarint(dst, uint64(p.Height))
@@ -199,7 +194,10 @@ func (p *Plan) EncodeSlice(lo, hi int) ([]byte, error) {
 		}
 	}
 	for w := lo; w < hi; w++ {
-		init := p.EncodedInit[w-p.Lo]
+		init, err := p.Init.Get(int64(w))
+		if err != nil {
+			return nil, fmt.Errorf("euler: leaf state %d: %w", w, err)
+		}
 		dst = binary.AppendUvarint(dst, uint64(len(init)))
 		dst = append(dst, init...)
 		pool := p.Parked[w-p.Lo]
@@ -212,7 +210,8 @@ func (p *Plan) EncodeSlice(lo, hi int) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodePlanSlice parses a plan slice written by EncodeSlice.
+// DecodePlanSlice parses a plan slice written by EncodeSlice.  The leaf
+// states in the returned plan's Init store alias buf.
 func DecodePlanSlice(buf []byte) (*Plan, error) {
 	d := &decoder{buf: buf}
 	if err := d.marker("plan slice"); err != nil {
@@ -298,7 +297,8 @@ func DecodePlanSlice(buf []byte) (*Plan, error) {
 		p.RepAt[l] = row
 	}
 	local := p.Hi - p.Lo
-	p.EncodedInit = make([][]byte, local)
+	init := spill.NewMemStore()
+	p.Init = init
 	p.Parked = make([]map[int32][]RemoteEdge, local)
 	for i := 0; i < local; i++ {
 		ln, err := d.uvarint()
@@ -308,7 +308,9 @@ func DecodePlanSlice(buf []byte) (*Plan, error) {
 		if uint64(len(d.buf)-d.off) < ln {
 			return nil, fmt.Errorf("euler: truncated leaf state %d", i)
 		}
-		p.EncodedInit[i] = d.buf[d.off : d.off+int(ln)]
+		if err := init.PutOwned(int64(p.Lo+i), d.buf[d.off:d.off+int(ln)]); err != nil {
+			return nil, err
+		}
 		d.off += int(ln)
 		groups, err := d.uvarint()
 		if err != nil {

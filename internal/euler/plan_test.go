@@ -1,6 +1,8 @@
 package euler
 
 import (
+	"bytes"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -47,7 +49,7 @@ func TestPlanSliceRoundTrip(t *testing.T) {
 			t.Fatalf("slice [%d, %d): repAt differs", lo, hi)
 		}
 		for w := lo; w < hi; w++ {
-			if string(got.EncodedInit[w-lo]) != string(plan.EncodedInit[w]) {
+			if string(planInit(t, got, w)) != string(planInit(t, plan, w)) {
 				t.Fatalf("worker %d leaf state differs", w)
 			}
 			gotPool, wantPool := got.Parked[w-lo], plan.Parked[w]
@@ -67,6 +69,54 @@ func TestPlanSliceRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodePlanSlice([]byte{1, 2, 3}); err == nil {
 		t.Fatal("truncated plan slice accepted")
+	}
+}
+
+// planInit reads worker w's encoded leaf state from p's Init store.
+func planInit(t *testing.T, p *Plan, w int) []byte {
+	t.Helper()
+	enc, err := p.Init.Get(int64(w))
+	if err != nil {
+		t.Fatalf("worker %d leaf state: %v", w, err)
+	}
+	return enc
+}
+
+// TestOutOfCorePlanSlicesLikeInMemory builds the same plan twice — leaf
+// states in memory, and spilled to a DiskStore InitStore — and requires
+// every slice encoding to be byte-identical, so an out-of-core plan ships
+// to cluster nodes exactly like an in-memory one.
+func TestOutOfCorePlanSlicesLikeInMemory(t *testing.T) {
+	g := gen.Torus(10, 7)
+	a := partition.LDG(g, 6, 1)
+	mem, _, err := BuildPlan(g, a, Config{Mode: ModeProposed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	ds, err := spill.NewDiskStore(filepath.Join(dir, "leaf-init.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	ooc, _, err := BuildPlan(g, a, Config{Mode: ModeProposed, InitStore: ds, ScratchDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lo := 0; lo < mem.NumWorkers; lo++ {
+		for hi := lo + 1; hi <= mem.NumWorkers; hi++ {
+			want, err := mem.EncodeSlice(lo, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ooc.EncodeSlice(lo, hi)
+			if err != nil {
+				t.Fatalf("out-of-core slice [%d, %d): %v", lo, hi, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("slice [%d, %d): out-of-core encoding differs from in-memory", lo, hi)
+			}
+		}
 	}
 }
 

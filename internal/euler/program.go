@@ -26,10 +26,6 @@ type progDeps struct {
 	// replay, when non-nil, returns the retained record to replay for a
 	// node instead of touring it, or nil to compute normally.
 	replay func(w, s int) *NodeRecord
-	// init supplies spilled leaf states when the plan was built out of
-	// core (Plan.EncodedInit == nil): superstep 0 loads worker w's state
-	// from init under key int64(w).
-	init spill.Store
 }
 
 // workerState is the per-worker mutable state of one run.
@@ -116,16 +112,9 @@ func (p *partProgram) Compute(ctx *bsp.Context) error {
 		// merge + Phase 1 replaced by the retained record above
 	} else if s == 0 {
 		t0 := time.Now()
-		enc := []byte(nil)
-		if plan.EncodedInit != nil {
-			enc = plan.EncodedInit[w-plan.Lo]
-		} else if p.deps.init != nil {
-			var err error
-			if enc, err = p.deps.init.Get(int64(w)); err != nil {
-				return fmt.Errorf("loading spilled leaf state %d: %w", w, err)
-			}
-		} else {
-			return fmt.Errorf("worker %d: plan has no leaf states and no init store", w)
+		enc, err := plan.Init.Get(int64(w))
+		if err != nil {
+			return fmt.Errorf("loading leaf state %d: %w", w, err)
 		}
 		st, err := DecodeState(enc)
 		if err != nil {

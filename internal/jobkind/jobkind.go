@@ -185,22 +185,33 @@ func ParseMode(s string) (euler.Mode, error) {
 	return 0, fmt.Errorf("unknown mode %q (want current, dedup, or proposed)", s)
 }
 
+// EngineOptions translates the parts, seed and mode knobs into facade
+// options; zero parts and seed keep the facade defaults.  Spill is left
+// to the caller, which owns the spill directory.
+func (o Options) EngineOptions() ([]euler.Option, error) {
+	mode, err := ParseMode(o.Mode)
+	if err != nil {
+		return nil, err
+	}
+	opts := []euler.Option{euler.WithMode(mode)}
+	if o.Parts > 0 {
+		opts = append(opts, euler.WithPartitions(o.Parts))
+	}
+	if o.Seed != 0 {
+		opts = append(opts, euler.WithSeed(o.Seed))
+	}
+	return opts, nil
+}
+
 // DefaultRunner returns the in-process GraphRunner for the given engine
 // options: the facade engine over goroutine workers, exactly what a
 // standalone eulerd runs.  Library clients (the examples) and kinds
 // handed a nil runner use it.
 func DefaultRunner(opts Options) GraphRunner {
 	return func(ctx context.Context, g *graph.Graph, emit func(graph.Step) error) (*euler.Report, error) {
-		mode, err := ParseMode(opts.Mode)
+		eopts, err := opts.EngineOptions()
 		if err != nil {
 			return nil, err
-		}
-		eopts := []euler.Option{euler.WithMode(mode)}
-		if opts.Parts > 0 {
-			eopts = append(eopts, euler.WithPartitions(opts.Parts))
-		}
-		if opts.Seed != 0 {
-			eopts = append(eopts, euler.WithSeed(opts.Seed))
 		}
 		// The engine's merge phases are not context-aware; callers that
 		// need cancellation observe ctx in their emit wrapper.

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	euler "repro"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/seq"
@@ -44,13 +45,18 @@ func TestRegistry(t *testing.T) {
 }
 
 func TestParseMode(t *testing.T) {
-	for _, s := range []string{"", "current", "dedup", "proposed"} {
-		if _, err := ParseMode(s); err != nil {
-			t.Errorf("ParseMode(%q): %v", s, err)
+	for in, want := range map[string]euler.Mode{
+		"": euler.ModeCurrent, "current": euler.ModeCurrent,
+		"dedup": euler.ModeDedup, "proposed": euler.ModeProposed,
+	} {
+		if got, err := ParseMode(in); err != nil || got != want {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	if _, err := ParseMode("fast"); err == nil {
-		t.Error("unknown mode accepted")
+	for _, bad := range []string{"fast", "quantum"} {
+		if _, err := ParseMode(bad); err == nil {
+			t.Errorf("ParseMode accepted unknown mode %q", bad)
+		}
 	}
 }
 

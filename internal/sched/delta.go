@@ -55,24 +55,25 @@ func (e *DeltaEntry) sizeBytes() int64 {
 // plus the added pairs appended in order.  Errors are client errors: the
 // server surfaces them as structured 400s.
 func (e *DeltaEntry) Apply(add, remove [][2]int64) (*graph.Graph, error) {
-	edges := make([][2]int64, len(e.Edges))
-	copy(edges, e.Edges)
+	// One pass indexes every removed pair's copies in edge order, so each
+	// removal takes its earliest unremoved copy without a rescan.
+	copies := make(map[[2]int64][]int, len(remove))
 	for _, rm := range remove {
-		u, v := rm[0], rm[1]
-		found := -1
-		for i, ed := range edges {
-			if ed == [2]int64{-1, -1} {
-				continue
-			}
-			if (ed[0] == u && ed[1] == v) || (ed[0] == v && ed[1] == u) {
-				found = i
-				break
-			}
+		copies[unordered(rm)] = nil
+	}
+	for i, ed := range e.Edges {
+		if idx, ok := copies[unordered(ed)]; ok {
+			copies[unordered(ed)] = append(idx, i)
 		}
-		if found < 0 {
-			return nil, fmt.Errorf("diff removes edge [%d %d] not present in the base graph", u, v)
+	}
+	removed := make([]bool, len(e.Edges))
+	for _, rm := range remove {
+		k := unordered(rm)
+		if len(copies[k]) == 0 {
+			return nil, fmt.Errorf("diff removes edge [%d %d] not present in the base graph", rm[0], rm[1])
 		}
-		edges[found] = [2]int64{-1, -1}
+		removed[copies[k][0]] = true
+		copies[k] = copies[k][1:]
 	}
 	n := e.NumVertices
 	for _, ad := range add {
@@ -84,16 +85,23 @@ func (e *DeltaEntry) Apply(add, remove [][2]int64) (*graph.Graph, error) {
 		}
 	}
 	b := graph.NewBuilder(n, len(e.Edges)+len(add))
-	for _, ed := range edges {
-		if ed == [2]int64{-1, -1} {
-			continue
+	for i, ed := range e.Edges {
+		if !removed[i] {
+			b.AddEdge(ed[0], ed[1])
 		}
-		b.AddEdge(ed[0], ed[1])
 	}
 	for _, ad := range add {
 		b.AddEdge(ad[0], ad[1])
 	}
 	return b.Build(), nil
+}
+
+// unordered is the orientation-free key of an edge's endpoint pair.
+func unordered(ed [2]int64) [2]int64 {
+	if ed[0] > ed[1] {
+		return [2]int64{ed[1], ed[0]}
+	}
+	return ed
 }
 
 // EdgePairs extracts a graph's edge list in submitted (edge ID) order.

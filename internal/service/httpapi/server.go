@@ -57,9 +57,9 @@ const keepGraphMaxEdges = 1 << 16
 
 // CircuitRunner executes one job's circuit computation: given the
 // validated spec, the job's scratch directory, and the built input graph,
-// it streams the circuit through emit and returns the run report.  The
-// default runner computes in-process; a cluster coordinator installs a
-// runner that fans the job out over its worker nodes instead.
+// it streams the circuit through emit and returns the run report.  A
+// server without one computes in-process; a cluster coordinator installs
+// a runner that fans the job out over its worker nodes instead.
 type CircuitRunner interface {
 	RunCircuit(ctx context.Context, spec job.Spec, dir string, g *graph.Graph, emit func(graph.Step) error) (*euler.Report, error)
 }
@@ -77,7 +77,7 @@ type Server struct {
 	cache   *sched.ResultCache
 	deltas  *sched.DeltaStore
 	dataDir string
-	runner  CircuitRunner
+	runner  CircuitRunner // nil = in-process facade engine
 	cluster ClusterStatus
 
 	// batchSched, when non-nil, is the second admission lane: jobs whose
@@ -155,10 +155,6 @@ func New(cfg Config) *Server {
 	if max <= 0 {
 		max = DefaultMaxUploadBytes
 	}
-	runner := cfg.Runner
-	if runner == nil {
-		runner = localRunner{}
-	}
 	builds := 1
 	if cfg.Sched != nil && cfg.Sched.Workers() > 1 {
 		builds = cfg.Sched.Workers()
@@ -169,7 +165,7 @@ func New(cfg Config) *Server {
 		cache:          cfg.Cache,
 		deltas:         cfg.Deltas,
 		dataDir:        cfg.DataDir,
-		runner:         runner,
+		runner:         cfg.Runner,
 		cluster:        cfg.Cluster,
 		maxUploadBytes: max,
 		buildSem:       make(chan struct{}, builds),
@@ -232,35 +228,27 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// localRunner is the single-process CircuitRunner: the facade engine over
-// goroutine workers and a LocalTransport.
-type localRunner struct{}
-
-// RunCircuit implements CircuitRunner.
-func (localRunner) RunCircuit(ctx context.Context, spec job.Spec, dir string, g *graph.Graph, emit func(graph.Step) error) (*euler.Report, error) {
-	return euler.FindCircuitStream(g, emit, engineOptions(spec, dir)...)
-}
-
-// engineOptions translates a spec's engine settings into facade options;
-// every local solve path (in-memory, retained, out-of-core) uses it, so
-// they all solve under the same parts, seed and mode.  The spill
-// directory only applies when the spec asks to spill;
-// FindCircuitStreamSource ignores it and takes its directory as an
-// argument instead.
+// engineOptions translates a spec's engine settings into facade options
+// through the same jobkind translation the in-process kinds use, so every
+// local solve path (in-memory, retained, out-of-core) solves under the
+// same parts, seed and mode.  The spill directory only applies when the
+// spec asks to spill; FindCircuitStreamSource always spills to dir.
 func engineOptions(spec job.Spec, dir string) []euler.Option {
-	var opts []euler.Option
-	if spec.Parts > 0 {
-		opts = append(opts, euler.WithPartitions(spec.Parts))
-	}
-	if spec.Seed != 0 {
-		opts = append(opts, euler.WithSeed(spec.Seed))
-	}
-	mode, _ := job.ParseMode(spec.Mode) // validated at submit
-	opts = append(opts, euler.WithMode(mode))
+	opts, _ := spec.KindRequest().Options.EngineOptions() // validated at submit
 	if spec.Spill {
 		opts = append(opts, euler.WithSpillDir(dir))
 	}
 	return opts
+}
+
+// solveOptions is the fingerprinted solve-option set of a spec.  The
+// submit-time fingerprint and a retained delta base both use it, so a
+// base and the lookups against it cannot drift apart.
+func solveOptions(spec *job.Spec, kind jobkind.Kind) sched.SolveOptions {
+	return sched.SolveOptions{
+		Parts: spec.Parts, Mode: spec.Mode, Seed: spec.Seed,
+		Kind: spec.Kind, KindMaterial: kind.Material(spec.KindRequest()),
+	}
 }
 
 // errorBody is the uniform error response shape: every non-2xx answer
@@ -460,10 +448,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var lease *sched.Lease
 	if s.cache != nil {
 		kind := jobkind.MustGet(spec.Kind) // canonical since Validate
-		fpOpts := sched.SolveOptions{
-			Parts: spec.Parts, Mode: spec.Mode, Seed: spec.Seed,
-			Kind: spec.Kind, KindMaterial: kind.Material(spec.KindRequest()),
-		}
+		fpOpts := solveOptions(&spec, kind)
 		g := deltaGraph
 		var fp sched.Fingerprint
 		// Uploads too big to keep attached are fingerprinted straight off
@@ -904,15 +889,10 @@ func (s *Server) runJob(poolCtx context.Context, j *job.Job, lease *sched.Lease)
 	// materialise their CSR in heap: the on-disk file is scattered into a
 	// paged CSR whose resident pages are bounded by graphMemBytes, and
 	// the engine runs sequentially with spilled partition states.  Only
-	// the local runner can do this — a cluster coordinator ships CSR
-	// slices to workers, which requires the in-memory build.
-	ooc := s.oocEdges > 0 && kind.Name() == jobkind.DefaultName &&
+	// in-process solves do this — a cluster coordinator ships CSR slices
+	// to workers, which requires the in-memory build.
+	ooc := s.runner == nil && s.oocEdges > 0 && kind.Name() == jobkind.DefaultName &&
 		j.Spec.Uploaded && !j.Spec.IsDelta() && j.Spec.DeclaredEdges >= s.oocEdges
-	if ooc {
-		if _, local := s.runner.(localRunner); !local {
-			ooc = false
-		}
-	}
 
 	// Small cached-path graphs arrive prebuilt from submission-time
 	// fingerprinting; everything else (no cache, big graphs, promoted
@@ -986,34 +966,30 @@ func (s *Server) runJob(poolCtx context.Context, j *job.Job, lease *sched.Lease)
 		return sink.Append(st)
 	}
 	// The kind drives the solve; graph-backed kinds route their circuit
-	// runs through the server's CircuitRunner (engine options, spill,
-	// cluster mode), sequence kinds solve in-process from the spec.
-	run := func(ctx context.Context, rg *graph.Graph, emit func(graph.Step) error) (*euler.Report, error) {
-		return s.runner.RunCircuit(ctx, j.Spec, j.Dir, rg, emit)
-	}
-	if ooc {
-		// The kind passes whatever graph it holds (often nil here) straight
-		// through to run; the out-of-core run reads adjacency from the
-		// paged CSR instead and is byte-identical to the in-memory solve.
-		run = func(ctx context.Context, _ *graph.Graph, emit func(graph.Step) error) (*euler.Report, error) {
-			return euler.FindCircuitStreamSource(pg, j.Dir, emit, engineOptions(j.Spec, j.Dir)...)
-		}
-	}
-	// Local euler runs additionally retain replay state when delta
-	// retention is on, so this job's result can serve as a delta base;
-	// delta jobs themselves solve against their base's retained state.
-	// Cluster runners never retain: the engine state lives on the
-	// workers, not the coordinator.  Out-of-core runs never retain
-	// either — a delta base pins the full edge list in memory, exactly
-	// what this path exists to avoid.
+	// runs through run, sequence kinds solve in-process from the spec.
+	// In-process euler runs retain replay state (delta jobs replay their
+	// base's) when delta retention is on.  Cluster runs keep engine state
+	// on the workers, and a delta base would pin the full edge list an
+	// out-of-core run exists to avoid, so neither retains.
+	retain := s.runner == nil && !ooc && s.deltas != nil &&
+		j.Fingerprint() != "" && kind.Name() == jobkind.DefaultName
 	var retained []byte
-	if !ooc && s.deltas != nil && j.Fingerprint() != "" && kind.Name() == jobkind.DefaultName {
-		if _, local := s.runner.(localRunner); local {
-			run = func(ctx context.Context, rg *graph.Graph, emit func(graph.Step) error) (*euler.Report, error) {
-				rep, ret, err := runRetained(j, rg, emit)
-				retained = ret
-				return rep, err
-			}
+	opts := engineOptions(j.Spec, j.Dir)
+	run := func(ctx context.Context, rg *graph.Graph, emit func(graph.Step) error) (*euler.Report, error) {
+		switch {
+		case s.runner != nil:
+			return s.runner.RunCircuit(ctx, j.Spec, j.Dir, rg, emit)
+		case ooc:
+			// The kind passes whatever graph it holds (often nil here);
+			// the out-of-core run reads adjacency from the paged CSR
+			// instead and is byte-identical to the in-memory solve.
+			return euler.FindCircuitStreamSource(pg, j.Dir, emit, opts...)
+		case retain:
+			rep, ret, err := euler.FindCircuitStreamDelta(rg, emit, j.DeltaState(), opts...)
+			retained = ret
+			return rep, err
+		default:
+			return euler.FindCircuitStream(rg, emit, opts...)
 		}
 	}
 	report, err := kind.Solve(ctx, j.Spec.KindRequest(), g, run, emit)
@@ -1026,6 +1002,20 @@ func (s *Server) runJob(poolCtx context.Context, j *job.Job, lease *sched.Lease)
 		sink.Close()
 		fail(fmt.Errorf("persisting circuit: %w", err))
 		return
+	}
+	// Retain this run as a delta base under its own fingerprint (the
+	// store's LRU budget decides how long it survives) before the cache
+	// commit or j.Finish can report the job, or a coalesced duplicate,
+	// done: a client may submit a diff against it the moment it is.
+	if retained != nil && s.deltas != nil {
+		if fp, perr := sched.ParseFingerprint(j.Fingerprint()); perr == nil {
+			s.deltas.Put(fp, &sched.DeltaEntry{
+				Opts:        solveOptions(&j.Spec, kind),
+				NumVertices: g.NumVertices(),
+				Edges:       sched.EdgePairs(g),
+				State:       retained,
+			})
+		}
 	}
 	if lease != nil {
 		// Publish the circuit under its content address and complete
@@ -1049,33 +1039,7 @@ func (s *Server) runJob(poolCtx context.Context, j *job.Job, lease *sched.Lease)
 			s.metrics.deltaReusedParts.Add(int64(report.ReusedParts))
 		}
 	}
-	// Retain this run as a delta base under its own fingerprint; the
-	// store's LRU budget decides how long it survives.
-	if retained != nil && s.deltas != nil {
-		if fp, perr := sched.ParseFingerprint(j.Fingerprint()); perr == nil {
-			s.deltas.Put(fp, &sched.DeltaEntry{
-				Opts: sched.SolveOptions{
-					Parts: j.Spec.Parts, Mode: j.Spec.Mode, Seed: j.Spec.Seed,
-					Kind: j.Spec.Kind, KindMaterial: kind.Material(j.Spec.KindRequest()),
-				},
-				NumVertices: g.NumVertices(),
-				Edges:       sched.EdgePairs(g),
-				State:       retained,
-			})
-		}
-	}
 	sink = nil // owned by the job now; keep the panic path off it
-}
-
-// runRetained is the localRunner solve path with replay-state retention:
-// delta jobs solve against their base's retained record, everything else
-// records a fresh one.
-func runRetained(j *job.Job, g *graph.Graph, emit func(graph.Step) error) (*euler.Report, []byte, error) {
-	opts := engineOptions(j.Spec, j.Dir)
-	if state := j.DeltaState(); state != nil {
-		return euler.FindCircuitStreamDelta(g, emit, state, opts...)
-	}
-	return euler.FindCircuitStreamRetain(g, emit, opts...)
 }
 
 // pageTokenPrefix versions the list endpoint's pagination tokens.  The

@@ -1,9 +1,11 @@
 package job
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/euler"
+	"repro/internal/jobkind"
 )
 
 func TestValidateUploadCounts(t *testing.T) {
@@ -37,17 +39,27 @@ func pairs(n int) [][2]int64 {
 // diffAdd is a diff that adds the given edges.
 func diffAdd(p ...[2]int64) *DiffSpec { return &DiffSpec{Add: p} }
 
+// TestParseMode checks the spec's mode field end to end: Validate accepts
+// every wire name and rejects an unknown one as a kind SpecError, and
+// KindRequest hands the name on to the engine mode it stands for.
 func TestParseMode(t *testing.T) {
 	for in, want := range map[string]euler.Mode{
 		"": euler.ModeCurrent, "current": euler.ModeCurrent,
 		"dedup": euler.ModeDedup, "proposed": euler.ModeProposed,
 	} {
-		if got, err := ParseMode(in); err != nil || got != want {
-			t.Errorf("ParseMode(%q) = %v, %v; want %v", in, got, err, want)
+		s := Spec{Generator: &GenSpec{Family: "torus"}, Mode: in}
+		if err := s.Validate(); err != nil {
+			t.Errorf("Validate with mode %q: %v", in, err)
+			continue
+		}
+		if got, err := jobkind.ParseMode(s.KindRequest().Options.Mode); err != nil || got != want {
+			t.Errorf("mode %q maps to %v, %v; want %v", in, got, err, want)
 		}
 	}
-	if _, err := ParseMode("quantum"); err == nil {
-		t.Error("ParseMode accepted an unknown mode")
+	s := Spec{Generator: &GenSpec{Family: "torus"}, Mode: "quantum"}
+	var se *jobkind.SpecError
+	if err := s.Validate(); !errors.As(err, &se) {
+		t.Errorf("Validate with an unknown mode = %v, want a *jobkind.SpecError", err)
 	}
 }
 
