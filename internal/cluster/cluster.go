@@ -163,38 +163,37 @@ func (c *Coordinator) recordError(err error) {
 type RunInfo struct {
 	// Attempts is the number of execution attempts (1 = first try).
 	Attempts int
-	// Replans is how many times the partition plan was rebuilt for a
-	// retry (attempts after the first).
+	// Replans is how many times the run was re-planned over the
+	// surviving membership for a retry (attempts after the first).
 	Replans int
 	// Degraded marks a job completed through the in-process fallback
 	// after the cluster could not serve it.
 	Degraded bool
 }
 
-// Replanner produces the partition assignment for one attempt.  It is
-// re-invoked on every retry with the current live node count, so the
-// plan is rebuilt against the surviving membership; deterministic
-// planners (LDG with a fixed seed and part count) keep retried runs
-// byte-identical to the first attempt.
-type Replanner func(attempt, liveNodes int) (partition.Assignment, error)
-
-// Run executes one circuit computation across the cluster with a fixed
-// assignment and returns the Result ready for Phase 3 in this process.
-func (c *Coordinator) Run(ctx context.Context, g *graph.Graph, a partition.Assignment, cfg euler.Config) (*euler.Result, RunInfo, error) {
-	return c.RunReplan(ctx, g, cfg, func(int, int) (partition.Assignment, error) { return a, nil })
-}
-
-// RunReplan executes one circuit computation across the cluster under the
-// coordinator's retry policy.  Each attempt waits for quorum, plans via
-// replan, and runs under a fresh hub epoch (the epoch machinery rejects
-// stale frames from aborted attempts).  On a retryable failure — a node
-// lost mid-barrier or a superstep timeout — it backs off, re-waits for
-// quorum, re-plans over the surviving membership, and goes again, up to
-// JobRetries times.  With DegradedLocal set, a job the cluster cannot
-// serve (no quorum, or retries exhausted on a retryable error) falls back
-// to the in-process engine and completes flagged degraded.
-func (c *Coordinator) RunReplan(ctx context.Context, g *graph.Graph, cfg euler.Config, replan Replanner) (*euler.Result, RunInfo, error) {
+// Run executes one circuit computation across the cluster under the
+// coordinator's retry policy and returns the Result ready for Phase 3 in
+// this process.  Each attempt waits for quorum and runs assignment a
+// under a fresh hub epoch (the epoch machinery rejects stale frames from
+// aborted attempts).  On a retryable failure — a node lost mid-barrier
+// or a superstep timeout — it backs off, re-waits for quorum, and runs
+// again over the surviving membership, up to JobRetries times.  With
+// DegradedLocal set, a job the cluster cannot serve (no quorum, or
+// retries exhausted on a retryable error) falls back to the in-process
+// engine and completes flagged degraded.
+//
+// Run owns the path-body store: every attempt, and the degraded run,
+// gets a fresh one, because path IDs are deterministic and a retry
+// re-writes the failed attempt's record IDs.  With spillDir set the
+// bodies spill to a log in spillDir that each run truncates after the
+// failed run's store is closed; otherwise they stay in memory.
+// cfg.Store must be nil.  The caller closes res.Registry.Store() once
+// it has unrolled the circuit.
+func (c *Coordinator) Run(ctx context.Context, g *graph.Graph, a partition.Assignment, cfg euler.Config, spillDir string) (*euler.Result, RunInfo, error) {
 	var info RunInfo
+	if cfg.Store != nil {
+		return nil, info, fmt.Errorf("cluster: Run opens its own body stores; pass spillDir instead of Config.Store")
+	}
 	for attempt := 1; ; attempt++ {
 		info.Attempts = attempt
 		if attempt > 1 {
@@ -217,14 +216,13 @@ func (c *Coordinator) RunReplan(ctx context.Context, g *graph.Graph, cfg euler.C
 		if err != nil {
 			c.recordError(err)
 			if c.opts.DegradedLocal && ctx.Err() == nil {
-				return c.runDegraded(g, cfg, &info, replan)
+				return c.runDegraded(g, a, cfg, spillDir, &info)
 			}
 			c.jobsFail.Add(1)
 			return nil, info, err
 		}
 
-		a, err := replan(attempt, c.hub.NumNodes())
-		if err != nil {
+		if cfg.Store, err = bodyStore(spillDir); err != nil {
 			c.jobsFail.Add(1)
 			return nil, info, err
 		}
@@ -235,6 +233,7 @@ func (c *Coordinator) RunReplan(ctx context.Context, g *graph.Graph, cfg euler.C
 			c.jobsRun.Add(1)
 			return res, info, nil
 		}
+		closeStore(cfg.Store)
 		c.recordError(err)
 
 		retryable := bsp.Retryable(err) && ctx.Err() == nil
@@ -250,7 +249,7 @@ func (c *Coordinator) RunReplan(ctx context.Context, g *graph.Graph, cfg euler.C
 			continue
 		}
 		if retryable && c.opts.DegradedLocal {
-			return c.runDegraded(g, cfg, &info, replan)
+			return c.runDegraded(g, a, cfg, spillDir, &info)
 		}
 		c.jobsFail.Add(1)
 		return nil, info, err
@@ -261,15 +260,16 @@ func (c *Coordinator) RunReplan(ctx context.Context, g *graph.Graph, cfg euler.C
 // engine in-process over LocalTransport.  The circuit is identical to
 // what the cluster would have produced for the same plan; only the
 // execution placement degrades.
-func (c *Coordinator) runDegraded(g *graph.Graph, cfg euler.Config, info *RunInfo, replan Replanner) (*euler.Result, RunInfo, error) {
-	a, err := replan(info.Attempts, 0)
-	if err != nil {
+func (c *Coordinator) runDegraded(g *graph.Graph, a partition.Assignment, cfg euler.Config, spillDir string, info *RunInfo) (*euler.Result, RunInfo, error) {
+	c.opts.Logf("cluster: falling back to degraded in-process execution")
+	var err error
+	if cfg.Store, err = bodyStore(spillDir); err != nil {
 		c.jobsFail.Add(1)
 		return nil, *info, err
 	}
-	c.opts.Logf("cluster: falling back to degraded in-process execution")
 	res, err := euler.Run(g, a, cfg)
 	if err != nil {
+		closeStore(cfg.Store)
 		c.jobsFail.Add(1)
 		return nil, *info, err
 	}
@@ -277,6 +277,28 @@ func (c *Coordinator) runDegraded(g *graph.Graph, cfg euler.Config, info *RunInf
 	c.degradedRuns.Add(1)
 	c.jobsRun.Add(1)
 	return res, *info, nil
+}
+
+// bodyStore opens a fresh path-body store for one run: a DiskStore
+// that truncates spillDir's spill log, or nil (the engine's in-memory
+// store) when spillDir is empty.
+func bodyStore(spillDir string) (spill.Store, error) {
+	if spillDir == "" {
+		return nil, nil
+	}
+	ds, err := spill.NewDiskStore(filepath.Join(spillDir, euler.SpillLogName))
+	if err != nil {
+		return nil, fmt.Errorf("cluster: opening spill store: %w", err)
+	}
+	return ds, nil
+}
+
+// closeStore releases a failed run's body store; its records are
+// discarded, so the close error does not matter.
+func closeStore(st spill.Store) {
+	if st != nil {
+		st.Close()
+	}
 }
 
 // sleepCtx sleeps for d, returning false early if ctx is cancelled.
@@ -310,26 +332,18 @@ func (r *Runner) RunCircuit(ctx context.Context, spec job.Spec, dir string, g *g
 	if err != nil {
 		return nil, err
 	}
-	cfg := euler.Config{Mode: mode}
+	// Part count and seed come from the spec, so the LDG assignment —
+	// and therefore the circuit — is byte-identical across retries and
+	// to a single-process run.
+	spillDir := ""
 	if spec.Spill {
-		ds, err := spill.NewDiskStore(filepath.Join(dir, euler.SpillLogName))
-		if err != nil {
-			return nil, fmt.Errorf("cluster: opening spill store: %w", err)
-		}
-		defer ds.Close()
-		cfg.Store = ds
+		spillDir = dir
 	}
-	// The planner runs once per attempt: a retry rebuilds the LDG
-	// assignment and the euler plan from scratch against whatever
-	// membership survived.  Part count and seed come from the spec, so
-	// the rebuilt plan — and therefore the circuit — is byte-identical
-	// across attempts and to a single-process run.
-	res, info, err := r.Coordinator.RunReplan(ctx, g, cfg, func(attempt, liveNodes int) (partition.Assignment, error) {
-		return partition.LDG(g, parts, seed), nil
-	})
+	res, info, err := r.Coordinator.Run(ctx, g, partition.LDG(g, parts, seed), euler.Config{Mode: mode}, spillDir)
 	if err != nil {
 		return nil, err
 	}
+	defer res.Registry.Store().Close()
 	if err := res.Registry.Unroll(emit); err != nil {
 		return nil, err
 	}

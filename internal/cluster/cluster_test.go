@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/partition"
+	"repro/internal/service/job"
 	"repro/internal/verify"
 )
 
@@ -89,7 +91,7 @@ func TestClusterMatchesLocal(t *testing.T) {
 				}
 				want := collectSteps(t, local)
 
-				res, _, err := coord.Run(context.Background(), tc.g, a, cfg)
+				res, _, err := coord.Run(context.Background(), tc.g, a, cfg, "")
 				if err != nil {
 					t.Fatalf("cluster run: %v", err)
 				}
@@ -143,7 +145,7 @@ func TestClusterSequentialNodes(t *testing.T) {
 
 	g := gen.Torus(8, 8)
 	a := partition.LDG(g, 6, 1)
-	res, _, err := coord.Run(context.Background(), g, a, euler.Config{})
+	res, _, err := coord.Run(context.Background(), g, a, euler.Config{}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +200,7 @@ func TestClusterKilledWorkerFailsCleanly(t *testing.T) {
 	a := partition.LDG(g, 8, 1)
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := coord.Run(context.Background(), g, a, euler.Config{})
+		_, _, err := coord.Run(context.Background(), g, a, euler.Config{}, "")
 		done <- err
 	}()
 	select {
@@ -218,7 +220,7 @@ func TestClusterKilledWorkerFailsCleanly(t *testing.T) {
 
 	// The abort must not leave ghost registrations behind: both nodes
 	// re-register and the next job over the healed cluster succeeds.
-	res, _, err := coord.Run(context.Background(), g, a, euler.Config{})
+	res, _, err := coord.Run(context.Background(), g, a, euler.Config{}, "")
 	if err != nil {
 		t.Fatalf("job after cluster heal: %v", err)
 	}
@@ -238,7 +240,7 @@ func TestClusterNoNodes(t *testing.T) {
 	defer coord.Close()
 	g := gen.Torus(4, 4)
 	a := partition.LDG(g, 2, 1)
-	_, _, err = coord.Run(context.Background(), g, a, euler.Config{})
+	_, _, err = coord.Run(context.Background(), g, a, euler.Config{}, "")
 	if err == nil || !strings.Contains(err.Error(), "waiting for") {
 		t.Fatalf("err = %v, want waiting-for-nodes error", err)
 	}
@@ -246,9 +248,22 @@ func TestClusterNoNodes(t *testing.T) {
 
 // TestClusterRetriesAfterNodeLoss arms a faultpoint that cuts one node's
 // conn mid-superstep and asserts the coordinator's retry policy absorbs
-// the loss: the job succeeds after a re-plan, the circuit is
-// byte-identical to the local run, and the retry counters advance.
+// the loss: the job succeeds on a retry, the circuit is byte-identical
+// to the local run, and the retry counters advance.  The spilled run
+// goes through the same retry with its path bodies on disk: path IDs
+// are deterministic, so the retry needs a fresh body store rather than
+// the failed attempt's.
 func TestClusterRetriesAfterNodeLoss(t *testing.T) {
+	for _, spilled := range []bool{false, true} {
+		name := "in-memory"
+		if spilled {
+			name = "spilled"
+		}
+		t.Run(name, func(t *testing.T) { testRetryAfterNodeLoss(t, spilled) })
+	}
+}
+
+func testRetryAfterNodeLoss(t *testing.T, spilled bool) {
 	faultpoint.Reset()
 	if err := faultpoint.Arm("bsp.node.wire=drop,step=1,times=1"); err != nil {
 		t.Fatal(err)
@@ -270,31 +285,30 @@ func TestClusterRetriesAfterNodeLoss(t *testing.T) {
 	}
 
 	g := gen.Torus(16, 16)
-	a := partition.LDG(g, 8, 1)
-	local, err := euler.Run(g, a, euler.Config{})
+	local, err := euler.Run(g, partition.LDG(g, 8, 1), euler.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := collectSteps(t, local)
 
-	res, info, err := coord.Run(context.Background(), g, a, euler.Config{})
+	var got []graph.Step
+	runner := &Runner{Coordinator: coord}
+	report, err := runner.RunCircuit(context.Background(), job.Spec{Parts: 8, Seed: 1, Spill: spilled}, t.TempDir(), g,
+		func(s graph.Step) error {
+			got = append(got, s)
+			return nil
+		})
 	if err != nil {
 		t.Fatalf("job did not survive the node loss: %v", err)
 	}
 	if faultpoint.Hits(bsp.FaultNodeWire) == 0 {
 		t.Fatal("fault never fired; the run proves nothing")
 	}
-	if info.Attempts < 2 || info.Replans < 1 || info.Degraded {
-		t.Fatalf("info = %+v, want >=2 attempts with a re-plan, not degraded", info)
+	if report.Attempts < 2 || report.Degraded {
+		t.Fatalf("report attempts %d degraded %v, want >=2 attempts, not degraded", report.Attempts, report.Degraded)
 	}
-	got := collectSteps(t, res)
-	if len(got) != len(want) {
-		t.Fatalf("retried circuit has %d steps, local %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("step %d differs after retry: cluster %+v, local %+v", i, got[i], want[i])
-		}
+	if !slices.Equal(got, want) {
+		t.Fatalf("retried circuit (%d steps) differs from the local run (%d steps)", len(got), len(want))
 	}
 	if err := verify.Circuit(g, got); err != nil {
 		t.Fatal(err)
@@ -332,7 +346,7 @@ func TestClusterDegradedFallback(t *testing.T) {
 	}
 	want := collectSteps(t, local)
 
-	res, info, err := coord.Run(context.Background(), g, a, euler.Config{})
+	res, info, err := coord.Run(context.Background(), g, a, euler.Config{}, "")
 	if err != nil {
 		t.Fatalf("degraded fallback failed: %v", err)
 	}

@@ -15,9 +15,9 @@ import (
 // Eulerised multigraph's circuit becomes a closed tour covering every
 // edge at least once.
 //
-// Sink encoding: a revisit of edge e is stored as Edge = -e-1 (the
-// step codec round-trips negative values), so the one framed stream
-// format carries the repetition flag and the cache can replay tours
+// Step encoding: Solve emits a revisit of edge e as Edge = -e-1,
+// and AppendLine renders it as edge e with "revisit":true.  The sink
+// stores those rendered lines, so the cache replays tours
 // byte-identically without kind knowledge.
 type postmanKind struct{}
 

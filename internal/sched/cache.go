@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/graph"
 	"repro/internal/spill"
 )
 
@@ -14,18 +13,14 @@ import (
 // exceeds the whole cache budget and nobody is waiting on the frames.
 var errCommitOversize = errors.New("sched: circuit exceeds the cache budget")
 
-// cacheBatchSteps is the number of circuit steps framed into one cache
-// record, matching the circuit sink's batching so payload sizes stay
-// comparable.
-const cacheBatchSteps = 4096
-
-// CircuitSource is a readable completed circuit, the shape both the
-// job layer's disk sink and the cache's own Reader expose.
+// CircuitSource is a readable completed circuit: the job layer's disk
+// sink and the cache's own Reader both expose one.  Its frames are the
+// job kind's NDJSON lines, stored and served verbatim.
 type CircuitSource interface {
 	// Steps returns the circuit length.
 	Steps() int64
-	// Iterate replays the circuit in order.
-	Iterate(fn func(graph.Step) error) error
+	// IterateBatches replays the circuit's frames in order.
+	IterateBatches(fn func(frame []byte) error) error
 }
 
 // Outcome classifies an Acquire.
@@ -78,30 +73,9 @@ type Reader struct {
 // Steps implements CircuitSource.
 func (r *Reader) Steps() int64 { return r.steps }
 
-// Iterate implements CircuitSource for binary-framed entries.  NDJSON
-// frames need the job kind's line codec, which the cache does not hold;
-// consumers that may meet them (the HTTP circuit endpoint) must use
-// IterateBatches and dispatch on the frame format themselves.
-func (r *Reader) Iterate(fn func(graph.Step) error) error {
-	return r.IterateBatches(func(data []byte) error {
-		if len(data) > 0 && data[0] == '{' {
-			return fmt.Errorf("sched: cached circuit is NDJSON-framed; replay it via IterateBatches with the kind's codec")
-		}
-		steps, err := graph.DecodeSteps(data)
-		if err != nil {
-			return err
-		}
-		for _, s := range steps {
-			if err := fn(s); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// IterateBatches replays the cached circuit's raw frames in order, the
-// zero-copy path the HTTP layer streams cached NDJSON circuits from.
+// IterateBatches implements CircuitSource: it replays the cached
+// frames in order, the zero-copy path the HTTP layer streams cached
+// circuits from.
 func (r *Reader) IterateBatches(fn func(frame []byte) error) error {
 	for _, rec := range r.recs {
 		data, err := r.store.Get(rec)
@@ -270,17 +244,6 @@ func (c *ResultCache) Close() error {
 	return c.store.Close()
 }
 
-// BatchedCircuitSource is an optional CircuitSource extension for
-// sources whose circuit is already persisted as batch frames (the job
-// layer's disk sink is one): Commit copies the raw frames — NDJSON or
-// binary, the cache never looks inside — instead of decoding and
-// re-encoding every step.
-type BatchedCircuitSource interface {
-	CircuitSource
-	// IterateBatches replays the raw frames in circuit order.
-	IterateBatches(fn func(frame []byte) error) error
-}
-
 // Commit stores the leader's completed circuit, publishes the entry
 // (unless it alone exceeds the byte budget), and hands every waiting
 // follower a Reader.  On error the lease degrades to an Abort — the
@@ -294,7 +257,6 @@ func (l *Lease) Commit(src CircuitSource) error {
 	var (
 		recs  []int64
 		bytes int64
-		steps int64
 	)
 	put := func(frame []byte) error {
 		c.mu.Lock()
@@ -323,39 +285,10 @@ func (l *Lease) Commit(src CircuitSource) error {
 		bytes += int64(len(frame))
 		return nil
 	}
-	var err error
-	if batched, ok := src.(BatchedCircuitSource); ok {
-		// Frame-copy fast path: the source's on-disk frames are
-		// already in the cache's format, so a multi-million-step
-		// circuit moves log-to-log without a decode/encode pass.
-		steps = batched.Steps()
-		err = batched.IterateBatches(put)
-	} else {
-		batch := make([]graph.Step, 0, cacheBatchSteps)
-		var enc []byte
-		flush := func() error {
-			if len(batch) == 0 {
-				return nil
-			}
-			enc = graph.AppendSteps(enc[:0], batch)
-			if err := put(enc); err != nil {
-				return err
-			}
-			batch = batch[:0]
-			return nil
-		}
-		err = src.Iterate(func(s graph.Step) error {
-			steps++
-			batch = append(batch, s)
-			if len(batch) >= cacheBatchSteps {
-				return flush()
-			}
-			return nil
-		})
-		if err == nil {
-			err = flush()
-		}
-	}
+	// The source's frames are already in the cache's format, so a
+	// multi-million-step circuit moves log-to-log without a decode pass.
+	steps := src.Steps()
+	err := src.IterateBatches(put)
 	if errors.Is(err, errCommitOversize) {
 		// Not a failure for the leader: the result simply cannot be
 		// cached.  Abort clears the flight (and promotes a follower in

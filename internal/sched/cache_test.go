@@ -1,32 +1,47 @@
 package sched
 
 import (
+	"bytes"
+	"fmt"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/graph"
 )
 
-// memSource is an in-memory CircuitSource for tests.
-type memSource []graph.Step
+// memSource is an in-memory CircuitSource of NDJSON frames for tests.
+type memSource struct {
+	steps  int64
+	frames [][]byte
+}
 
-func (m memSource) Steps() int64 { return int64(len(m)) }
-func (m memSource) Iterate(fn func(graph.Step) error) error {
-	for _, s := range m {
-		if err := fn(s); err != nil {
+func (m memSource) Steps() int64 { return m.steps }
+func (m memSource) IterateBatches(fn func([]byte) error) error {
+	for _, f := range m.frames {
+		if err := fn(f); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func circuit(n int, salt int64) memSource {
-	steps := make(memSource, n)
-	for i := range steps {
-		steps[i] = graph.Step{Edge: int64(i), From: salt + int64(i), To: salt + int64(i) + 1}
+// bytes is the whole circuit as served: every frame concatenated.
+func (m memSource) bytes() []byte { return bytes.Join(m.frames, nil) }
+
+// framedCircuit renders an n-step chain as NDJSON frames of batch steps
+// each, the shape the job layer's sink stores.
+func framedCircuit(n int, salt int64, batch int) memSource {
+	m := memSource{steps: int64(n)}
+	var frame []byte
+	for i := 0; i < n; i++ {
+		frame = fmt.Appendf(frame, "{\"edge\":%d,\"from\":%d,\"to\":%d}\n", i, salt+int64(i), salt+int64(i)+1)
+		if (i+1)%batch == 0 || i == n-1 {
+			m.frames = append(m.frames, frame)
+			frame = nil
+		}
 	}
-	return steps
+	return m
 }
+
+func circuit(n int, salt int64) memSource { return framedCircuit(n, salt, 4096) }
 
 func newTestCache(t *testing.T, maxBytes int64) *ResultCache {
 	t.Helper()
@@ -44,28 +59,16 @@ func fpOf(b byte) Fingerprint {
 	return fp
 }
 
-func readAll(t *testing.T, r *Reader) []graph.Step {
+func readAll(t *testing.T, r *Reader) []byte {
 	t.Helper()
-	var out []graph.Step
-	if err := r.Iterate(func(s graph.Step) error {
-		out = append(out, s)
+	var out []byte
+	if err := r.IterateBatches(func(frame []byte) error {
+		out = append(out, frame...)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	return out
-}
-
-func equalSteps(a, b []graph.Step) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func TestCacheMissCommitHit(t *testing.T) {
@@ -85,7 +88,7 @@ func TestCacheMissCommitHit(t *testing.T) {
 	if r.Steps() != src.Steps() {
 		t.Fatalf("cached steps %d, want %d", r.Steps(), src.Steps())
 	}
-	if !equalSteps(readAll(t, r), src) {
+	if !bytes.Equal(readAll(t, r), src.bytes()) {
 		t.Fatal("cached circuit differs from the committed one")
 	}
 	st := c.Stats()
@@ -116,7 +119,7 @@ func TestCacheCoalesce(t *testing.T) {
 	}
 	for i := 0; i < 2; i++ {
 		r := <-got
-		if r == nil || !equalSteps(readAll(t, r), src) {
+		if r == nil || !bytes.Equal(readAll(t, r), src.bytes()) {
 			t.Fatal("follower did not receive the committed circuit")
 		}
 	}
@@ -179,7 +182,7 @@ func TestCachePromotedCommitServesRemainingFollowers(t *testing.T) {
 		served = r
 	}})
 	lease.Abort()
-	if served == nil || !equalSteps(readAll(t, served), src) {
+	if served == nil || !bytes.Equal(readAll(t, served), src.bytes()) {
 		t.Fatal("second follower was not served by the promoted leader's commit")
 	}
 	if out, r, _ := c.Acquire(fpOf(4), nil); out != OutcomeHit || r == nil {
@@ -192,7 +195,7 @@ func TestCachePromotedCommitServesRemainingFollowers(t *testing.T) {
 func TestCacheEvictionKeepsReadersAlive(t *testing.T) {
 	srcA, srcB := circuit(3000, 0), circuit(3000, 9)
 	// Budget fits one entry but not two.
-	enc := graph.AppendSteps(nil, srcA)
+	enc := srcA.bytes()
 	c := newTestCache(t, int64(len(enc))+64)
 
 	_, _, lease := c.Acquire(fpOf(10), nil)
@@ -214,7 +217,7 @@ func TestCacheEvictionKeepsReadersAlive(t *testing.T) {
 	} else {
 		l.Abort()
 	}
-	if !equalSteps(readAll(t, rA), srcA) {
+	if !bytes.Equal(readAll(t, rA), srcA.bytes()) {
 		t.Fatal("pre-eviction reader lost its circuit")
 	}
 	if st := c.Stats(); st.LiveBytes > st.MaxBytes {
@@ -226,7 +229,7 @@ func TestCacheEvictionKeepsReadersAlive(t *testing.T) {
 // next eviction round.
 func TestCacheHitRefreshesLRU(t *testing.T) {
 	srcA, srcB, srcC := circuit(3000, 0), circuit(3000, 1), circuit(3000, 2)
-	enc := graph.AppendSteps(nil, srcA)
+	enc := srcA.bytes()
 	c := newTestCache(t, 2*int64(len(enc))+128) // fits two entries
 
 	commit := func(fp Fingerprint, src memSource) {
@@ -264,7 +267,7 @@ func TestCacheOversizedResultNotIndexed(t *testing.T) {
 	if err := lease.Commit(src); err != nil {
 		t.Fatal(err)
 	}
-	if served == nil || !equalSteps(readAll(t, served), src) {
+	if served == nil || !bytes.Equal(readAll(t, served), src.bytes()) {
 		t.Fatal("follower not served for an oversized result")
 	}
 	st := c.Stats()
@@ -273,55 +276,20 @@ func TestCacheOversizedResultNotIndexed(t *testing.T) {
 	}
 }
 
-// batchedSource serves pre-framed batches; Iterate traps so the test
-// proves Commit took the frame-copy fast path.
-type batchedSource struct {
-	t      *testing.T
-	steps  memSource
-	frames [][]byte
-}
-
-func newBatchedSource(t *testing.T, steps memSource, batch int) *batchedSource {
-	b := &batchedSource{t: t, steps: steps}
-	for i := 0; i < len(steps); i += batch {
-		end := i + batch
-		if end > len(steps) {
-			end = len(steps)
-		}
-		b.frames = append(b.frames, graph.AppendSteps(nil, steps[i:end]))
-	}
-	return b
-}
-
-func (b *batchedSource) Steps() int64 { return b.steps.Steps() }
-func (b *batchedSource) Iterate(func(graph.Step) error) error {
-	b.t.Error("Commit must use IterateBatches for a BatchedCircuitSource")
-	return nil
-}
-func (b *batchedSource) IterateBatches(fn func([]byte) error) error {
-	for _, f := range b.frames {
-		if err := fn(f); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// TestCacheCommitFrameCopyFastPath: a batched source commits by raw
-// frame copy (odd batch sizes included) and replays identically.
+// TestCacheCommitFrameCopyFastPath: a source commits by raw frame copy
+// (odd batch sizes included) and replays identically.
 func TestCacheCommitFrameCopyFastPath(t *testing.T) {
 	c := newTestCache(t, 1<<20)
-	steps := circuit(10_000, 4)
-	src := newBatchedSource(t, steps, 777) // deliberately != cacheBatchSteps
+	src := framedCircuit(10_000, 4, 777) // deliberately != the sink's batch size
 	_, _, lease := c.Acquire(fpOf(60), nil)
 	if err := lease.Commit(src); err != nil {
 		t.Fatal(err)
 	}
 	out, r, _ := c.Acquire(fpOf(60), nil)
-	if out != OutcomeHit || r.Steps() != int64(len(steps)) {
+	if out != OutcomeHit || r.Steps() != src.Steps() {
 		t.Fatalf("acquire = %v steps %d", out, r.Steps())
 	}
-	if !equalSteps(readAll(t, r), steps) {
+	if !bytes.Equal(readAll(t, r), src.bytes()) {
 		t.Fatal("frame-copied circuit differs from the source")
 	}
 }
@@ -371,7 +339,7 @@ func TestCacheFollowerOverflow(t *testing.T) {
 func TestCacheOversizedCommitStopsEarly(t *testing.T) {
 	c := newTestCache(t, 64)
 	src := circuit(20_000, 0) // several batches, far over budget
-	full := int64(len(graph.AppendSteps(nil, src)))
+	full := int64(len(src.bytes()))
 	_, _, lease := c.Acquire(fpOf(70), nil)
 	if err := lease.Commit(src); err != nil {
 		t.Fatalf("oversized commit must not error the leader: %v", err)

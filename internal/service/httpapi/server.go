@@ -431,14 +431,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			os.RemoveAll(dir)
 			if status == http.StatusTooManyRequests {
 				s.metrics.rejected.Add(1)
-				writeSchedError(w, err)
-				return
 			}
-			code := codeForStatus(status)
-			if status == http.StatusConflict {
-				code = codeUnknownBase
-			}
-			writeError(w, status, code, "%v", err)
+			writeDeltaError(w, status, err)
 			return
 		}
 	}
@@ -695,6 +689,19 @@ func (s *Server) resolveDelta(tenant string, spec *job.Spec) (*sched.DeltaEntry,
 	}
 	spec.Parts, spec.Mode, spec.Seed = entry.Opts.Parts, entry.Opts.Mode, entry.Opts.Seed
 	return entry, g, 0, nil
+}
+
+// writeDeltaError renders a resolveDelta rejection: 429 is a scheduler
+// refusal, 409 an unknown base, anything else a plain client error.
+func writeDeltaError(w http.ResponseWriter, status int, err error) {
+	switch status {
+	case http.StatusTooManyRequests:
+		writeSchedError(w, err)
+	case http.StatusConflict:
+		writeError(w, status, codeUnknownBase, "%v", err)
+	default:
+		writeError(w, status, codeForStatus(status), "%v", err)
+	}
 }
 
 // parseDiffPairs parses a query-form edge list: comma-separated "u-v"
@@ -1152,21 +1159,13 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, j.Snapshot())
 }
 
-// batchedSource is a circuit source exposing its raw persisted frames;
-// the job sink and the result-cache reader both do.
-type batchedSource interface {
-	IterateBatches(fn func(frame []byte) error) error
-}
-
 // handleCircuit streams a finished job's result as NDJSON in the job
 // kind's line format — {"edge":e,"from":u,"to":v} circuit steps for
 // euler (plus "revisit" markers for postman tours), {"sym":s} and
-// {"base":"A"} for the sequence kinds.  The sink persists batches
-// pre-rendered in that format, so the hot path copies stored frames
-// straight into the response with no decode/re-encode; binary-framed
-// batches (codec-less sinks, pre-upgrade cache entries) fall back to a
-// per-step render.  Bytes served are accounted per job and in the
-// egress_bytes service counter.
+// {"base":"A"} for the sequence kinds.  The sink and the result cache
+// store batches pre-rendered in that format, so the stored frames are
+// copied straight into the response with no decode/re-encode.  Bytes
+// served are accounted per job and in the egress_bytes service counter.
 func (s *Server) handleCircuit(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobs.Get(r.PathValue("id"))
 	if !ok {
@@ -1179,7 +1178,6 @@ func (s *Server) handleCircuit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	kind := jobkind.MustGet(j.Spec.Kind)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Circuit-Steps", strconv.FormatInt(src.Steps(), 10))
 	cw := &countedWriter{w: w}
@@ -1188,35 +1186,10 @@ func (s *Server) handleCircuit(w http.ResponseWriter, r *http.Request) {
 		s.metrics.egressBytes.Add(cw.n)
 	}()
 	bw := bufio.NewWriterSize(cw, 1<<16)
-	var err error
-	if batched, ok := src.(batchedSource); ok {
-		var buf []byte
-		err = batched.IterateBatches(func(frame []byte) error {
-			if len(frame) > 0 && frame[0] == '{' {
-				// Zero-copy egress: the stored frame is the response body.
-				_, werr := bw.Write(frame)
-				return werr
-			}
-			steps, derr := graph.DecodeSteps(frame)
-			if derr != nil {
-				return derr
-			}
-			for _, st := range steps {
-				buf = kind.AppendLine(buf[:0], st)
-				if _, werr := bw.Write(buf); werr != nil {
-					return werr
-				}
-			}
-			return nil
-		})
-	} else {
-		var buf []byte
-		err = src.Iterate(func(st graph.Step) error {
-			buf = kind.AppendLine(buf[:0], st)
-			_, werr := bw.Write(buf)
-			return werr
-		})
-	}
+	err := src.IterateBatches(func(frame []byte) error {
+		_, werr := bw.Write(frame)
+		return werr
+	})
 	if err != nil {
 		if cw.n == 0 {
 			// Nothing reached the client yet; a real error status can

@@ -1,6 +1,7 @@
 package job
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -9,11 +10,34 @@ import (
 	"repro/internal/euler"
 	"repro/internal/graph"
 	"repro/internal/jobkind"
+	"repro/internal/sched"
 )
+
+// readSteps replays a source's NDJSON frames back into steps with the
+// default kind's line parser.
+func readSteps(t *testing.T, src sched.CircuitSource) ([]graph.Step, error) {
+	t.Helper()
+	kind := jobkind.MustGet(jobkind.DefaultName)
+	var steps []graph.Step
+	err := src.IterateBatches(func(frame []byte) error {
+		for _, line := range bytes.SplitAfter(frame, []byte{'\n'}) {
+			if len(line) == 0 {
+				continue
+			}
+			st, err := kind.ParseLine(line[:len(line)-1])
+			if err != nil {
+				return err
+			}
+			steps = append(steps, st)
+		}
+		return nil
+	})
+	return steps, err
+}
 
 func TestSinkRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "circuit.log")
-	sink, err := NewCircuitSink(path, 3, nil)
+	sink, err := NewCircuitSink(path, 3, jobkind.MustGet(jobkind.DefaultName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +50,7 @@ func TestSinkRoundTrip(t *testing.T) {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
-	if err := sink.Iterate(func(graph.Step) error { return nil }); err == nil {
+	if _, err := readSteps(t, sink); err == nil {
 		t.Fatal("iterate before Finish should fail")
 	}
 	if err := sink.Finish(); err != nil {
@@ -35,8 +59,8 @@ func TestSinkRoundTrip(t *testing.T) {
 	if got := sink.Steps(); got != 10 {
 		t.Fatalf("steps = %d, want 10", got)
 	}
-	var got []graph.Step
-	if err := sink.Iterate(func(s graph.Step) error { got = append(got, s); return nil }); err != nil {
+	got, err := readSteps(t, sink)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {
@@ -53,11 +77,11 @@ func TestSinkRoundTrip(t *testing.T) {
 }
 
 // TestSinkCloseDeferredDuringIterate: closing the sink (as retention
-// eviction does) while a reader is mid-Iterate must not cut the stream
+// eviction does) while a reader is mid-stream must not cut the stream
 // short; the close completes when the reader leaves.
 func TestSinkCloseDeferredDuringIterate(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "circuit.log")
-	sink, err := NewCircuitSink(path, 2, nil)
+	sink, err := NewCircuitSink(path, 2, jobkind.MustGet(jobkind.DefaultName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,10 +93,10 @@ func TestSinkCloseDeferredDuringIterate(t *testing.T) {
 	if err := sink.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	var seen int
-	err = sink.Iterate(func(graph.Step) error {
-		seen++
-		if seen == 1 {
+	var frames int
+	err = sink.IterateBatches(func([]byte) error {
+		frames++
+		if frames == 1 {
 			// Concurrent eviction closes the sink mid-stream.
 			if err := sink.Close(); err != nil {
 				t.Fatal(err)
@@ -83,11 +107,11 @@ func TestSinkCloseDeferredDuringIterate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("iterate with concurrent close: %v", err)
 	}
-	if seen != 9 {
-		t.Fatalf("saw %d steps, want 9", seen)
+	if frames != 5 {
+		t.Fatalf("saw %d frames, want 5", frames)
 	}
 	// The deferred close has now landed: further reads are refused.
-	if err := sink.Iterate(func(graph.Step) error { return nil }); err == nil {
+	if _, err := readSteps(t, sink); err == nil {
 		t.Fatal("iterate after close should fail")
 	}
 	if err := sink.Close(); err != nil {
@@ -156,7 +180,7 @@ func TestCircuitSurvivesEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := s.New(Spec{Generator: &GenSpec{Family: "torus"}}, dir)
-	sink, err := NewCircuitSink(filepath.Join(dir, "circuit.log"), 2, nil)
+	sink, err := NewCircuitSink(filepath.Join(dir, "circuit.log"), 2, jobkind.MustGet(jobkind.DefaultName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,12 +212,12 @@ func TestCircuitSurvivesEviction(t *testing.T) {
 	}
 
 	// The stream still replays in full despite the eviction's Close.
-	var n int
-	if err := got.Iterate(func(graph.Step) error { n++; return nil }); err != nil {
+	steps, err := readSteps(t, got)
+	if err != nil {
 		t.Fatalf("iterate after eviction: %v", err)
 	}
-	if n != 5 {
-		t.Fatalf("saw %d steps, want 5", n)
+	if len(steps) != 5 {
+		t.Fatalf("saw %d steps, want 5", len(steps))
 	}
 	release()
 
@@ -203,13 +227,13 @@ func TestCircuitSurvivesEviction(t *testing.T) {
 	}
 }
 
-// fakeSource is an in-memory CircuitSource.
-type fakeSource []graph.Step
+// fakeSource is an in-memory sched.CircuitSource of NDJSON lines.
+type fakeSource []string
 
 func (f fakeSource) Steps() int64 { return int64(len(f)) }
-func (f fakeSource) Iterate(fn func(graph.Step) error) error {
-	for _, s := range f {
-		if err := fn(s); err != nil {
+func (f fakeSource) IterateBatches(fn func([]byte) error) error {
+	for _, line := range f {
+		if err := fn([]byte(line)); err != nil {
 			return err
 		}
 	}
@@ -223,7 +247,7 @@ func TestFinishCached(t *testing.T) {
 	s := NewStore(10)
 	j := s.New(Spec{Generator: &GenSpec{Family: "torus"}}, "")
 	j.AttachGraph(graph.FromEdges(2, [][2]graph.VertexID{{0, 1}}))
-	src := fakeSource{{Edge: 0, From: 0, To: 1}, {Edge: 1, From: 1, To: 0}}
+	src := fakeSource{`{"edge":0,"from":0,"to":1}` + "\n", `{"edge":1,"from":1,"to":0}` + "\n"}
 	if !j.FinishCached(src) {
 		t.Fatal("FinishCached on a queued job must succeed")
 	}
