@@ -346,11 +346,16 @@ func recordWireMetrics(sc Scenario, env Env, res *bench.ScenarioResult) error {
 		return err
 	}
 	res.Metrics["egress_bytes"] = gauge(egress)
-	// Pager activity is workload-shaped (constrained-memory scenarios
-	// fault on purpose; everything else reads zero), so it records as
-	// Info in every scenario rather than gating.
+	// Pager faults are deterministic for a given scenario (the same
+	// Adj calls against the same page budget), so scenarios that page
+	// gate them lower-is-better: a partitioner or plan pass that reads
+	// adjacency out of page order fails the perf gate.  Scenarios that
+	// never page read zero and record it as Info.
 	if faults, err := num("graph_page_faults"); err == nil {
 		res.Metrics["graph_page_faults"] = bench.Info(faults, "count")
+		if faults > 0 {
+			res.Metrics["graph_page_faults"] = bench.LowerBetter(faults, "count", 0.1, 100)
+		}
 	}
 	if sc.Topology == TopoCluster {
 		wire, err := num("cluster_wire_bytes")

@@ -7,17 +7,18 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"unsafe"
 
 	"repro/internal/graph"
 )
 
 // DefaultPageHalves is the adjacency-page granularity: 64Ki halves =
-// 1 MiB decoded per page, so even a few-MiB budget holds several pages.
+// 1 MiB per page, so even a few-MiB budget holds several pages.
 const DefaultPageHalves = 64 << 10
 
-// halfBytes is the on-disk size of one adjacency half (to, edge as
-// little-endian int64s).
-const halfBytes = 16
+// halfBytes is the size of one adjacency half, in memory and in the
+// halves blob alike.
+const halfBytes = int64(unsafe.Sizeof(graph.Half{}))
 
 // maxScatterBuckets caps the temp files the CSR scatter keeps open at
 // once; beyond it the bucket span (and its in-memory fill buffer)
@@ -48,7 +49,10 @@ type BuildOptions struct {
 // out its in-memory halves slice (both halves of each edge scattered
 // in EdgeID order), so every Adj list is byte-identical to the in-heap
 // CSR's — the partitioner and plan builder see the same graph either
-// way, which is what keeps out-of-core circuits byte-identical.
+// way, which is what keeps out-of-core circuits byte-identical.  The
+// blob is a private temp file that this process writes, reads and
+// deletes, so it holds the halves in their native memory layout and a
+// page fault is one read straight into the page's []graph.Half.
 //
 // A PagedGraph is not safe for concurrent use: Adj may return a slice
 // aliasing a page buffer or the spanning scratch, valid only until the
@@ -68,11 +72,10 @@ type PagedGraph struct {
 	lruHead *csrPage // most recent
 	lruTail *csrPage // least recent
 	scratch []graph.Half
-	// free recycles evicted pages' buffers and raw the decode scratch:
-	// at steady state a fault costs two reads and zero allocations, so
-	// a page-thrashing solve does not outrun the GC.
+	// free recycles evicted pages' buffers: at steady state a fault
+	// costs one read and zero allocations, so a page-thrashing solve
+	// does not outrun the GC.
 	free []*csrPage
-	raw  []byte
 }
 
 type csrPage struct {
@@ -149,8 +152,8 @@ func BuildPaged(edgePath string, opt BuildOptions) (*PagedGraph, error) {
 }
 
 // scatter runs pass 2: half records into bucket files, buckets into
-// the blob.
-func (pg *PagedGraph) scatter(opt BuildOptions) error {
+// the blob.  On error it removes the blob and every bucket file.
+func (pg *PagedGraph) scatter(opt BuildOptions) (err error) {
 	totalHalves := 2 * pg.m
 	span := opt.PageHalves * 4 // bucket fill buffer: 4 pages = 4 MiB at defaults
 	if totalHalves/span+1 > maxScatterBuckets {
@@ -166,6 +169,11 @@ func (pg *PagedGraph) scatter(opt BuildOptions) error {
 		return err
 	}
 	pg.blob, pg.blobPath = blob, blob.Name()
+	defer func() {
+		if err != nil {
+			pg.Close()
+		}
+	}()
 
 	buckets := make([]*os.File, numBuckets)
 	writers := make([]*bufio.Writer, numBuckets)
@@ -231,9 +239,7 @@ func (pg *PagedGraph) scatter(opt BuildOptions) error {
 	next = nil
 
 	// Place each bucket and append it to the blob in position order.
-	bw := bufio.NewWriterSize(pg.blob, 1<<20)
 	fill := make([]graph.Half, span)
-	var out [halfBytes]byte
 	for i, f := range buckets {
 		if err := writers[i].Flush(); err != nil {
 			return err
@@ -260,19 +266,20 @@ func (pg *PagedGraph) scatter(opt BuildOptions) error {
 				Edge: int64(binary.LittleEndian.Uint64(rec[16:])),
 			}
 		}
-		for _, h := range fill[:hi-base] {
-			binary.LittleEndian.PutUint64(out[0:], uint64(h.To))
-			binary.LittleEndian.PutUint64(out[8:], uint64(h.Edge))
-			if _, err := bw.Write(out[:]); err != nil {
-				return err
-			}
+		if _, err := pg.blob.Write(halfBytesOf(fill[:hi-base])); err != nil {
+			return err
 		}
 		name := f.Name()
 		f.Close()
 		os.Remove(name)
 		buckets[i] = nil
 	}
-	return bw.Flush()
+	return nil
+}
+
+// halfBytesOf views halves as their native in-memory bytes.
+func halfBytesOf(hs []graph.Half) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(hs))), int64(len(hs))*halfBytes)
 }
 
 // NumVertices returns the vertex count.
@@ -353,15 +360,6 @@ func (pg *PagedGraph) page(idx int64) *csrPage {
 	if base+count > 2*pg.m {
 		count = 2*pg.m - base
 	}
-	if int64(cap(pg.raw)) < count*halfBytes {
-		pg.raw = make([]byte, count*halfBytes)
-	}
-	raw := pg.raw[:count*halfBytes]
-	if _, err := pg.blob.ReadAt(raw, base*halfBytes); err != nil {
-		// The blob is a local file this process wrote; a read failure is
-		// unrecoverable corruption, on par with an mmap SIGBUS.
-		panic(fmt.Sprintf("oocgraph: reading CSR page %d: %v", idx, err))
-	}
 	var p *csrPage
 	if n := len(pg.free); n > 0 {
 		p = pg.free[n-1]
@@ -373,11 +371,10 @@ func (pg *PagedGraph) page(idx int64) *csrPage {
 		p.halves = make([]graph.Half, count)
 	}
 	p.idx, p.halves = idx, p.halves[:count]
-	for i := range p.halves {
-		p.halves[i] = graph.Half{
-			To:   int64(binary.LittleEndian.Uint64(raw[i*halfBytes:])),
-			Edge: int64(binary.LittleEndian.Uint64(raw[i*halfBytes+8:])),
-		}
+	if _, err := pg.blob.ReadAt(halfBytesOf(p.halves), base*halfBytes); err != nil {
+		// The blob is a local file this process wrote; a read failure is
+		// unrecoverable corruption, on par with an mmap SIGBUS.
+		panic(fmt.Sprintf("oocgraph: reading CSR page %d: %v", idx, err))
 	}
 	pg.pages[idx] = p
 	pg.pushFront(p)

@@ -229,3 +229,25 @@ func TestStreamWriterIdentity(t *testing.T) {
 		t.Fatalf("streamed file differs from WriteFile output (%d vs %d bytes)", len(b), len(a))
 	}
 }
+
+// TestScatterErrorRemovesBlob fails the scatter's pass-2 open: the blob
+// and bucket files it already created must be gone from Dir.
+func TestScatterErrorRemovesBlob(t *testing.T) {
+	dir := t.TempDir()
+	pg := &PagedGraph{
+		n: 4, m: 4, offs: []int64{0, 2, 4, 6, 8},
+		edgePath: filepath.Join(t.TempDir(), "missing.bin"),
+		pages:    make(map[int64]*csrPage),
+	}
+	err := pg.scatter(BuildOptions{Dir: dir, PageHalves: 64, BlockSize: DefaultBlockSize})
+	if err == nil {
+		t.Fatal("scatter of a missing edge file succeeded")
+	}
+	left, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range left {
+		t.Errorf("scatter left %s behind", e.Name())
+	}
+}

@@ -8,11 +8,18 @@
 // partitioner over a BFS vertex ordering, which produces realistic edge-cut
 // fractions and load imbalance on power-law graphs, plus hash and range
 // baselines for the ablation benchmarks.
+//
+// LDG makes one pass over the graph and reads each adjacency list once,
+// in windows of queued vertices fetched in ascending vertex order, so a
+// disk-paged graph streams through its pages instead of faulting them in
+// BFS order.
 package partition
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -80,12 +87,25 @@ func Range(g graph.Source, k int32) Assignment {
 	return a
 }
 
+// ldgWindowHalves bounds the adjacency LDG copies out per read window:
+// 64Ki halves (1 MiB), one default page of a paged CSR.  A window holds
+// at least one vertex, so a hub of higher degree gets a window alone.
+const ldgWindowHalves = 64 << 10
+
 // LDG runs Linear Deterministic Greedy streaming partitioning over a BFS
 // vertex ordering: each vertex goes to the partition holding most of its
 // already-placed neighbours, discounted by a load penalty (1 - size/cap).
 // The BFS order makes neighbour information available early, which is what
 // gives streaming partitioners their edge-cut advantage on power-law
-// graphs.
+// graphs.  The BFS starts at a seeded random root and restarts at the
+// lowest unvisited vertex for other components.
+//
+// It is one pass that calls Adj once per vertex: a vertex is placed as it
+// leaves the BFS queue, and its unvisited neighbours are enqueued from the
+// same list.  The reads are windowed: the lists of the next queued
+// vertices, up to ldgWindowHalves halves, are copied out in ascending
+// vertex order (ascending offset in a CSR, so a paged CSR faults each
+// page at most once per window) and then placed in BFS order.
 func LDG(g graph.Source, k int32, seed int64) Assignment {
 	n := g.NumVertices()
 	a := Assignment{Parts: k, Of: make([]int32, n)}
@@ -94,76 +114,85 @@ func LDG(g graph.Source, k int32, seed int64) Assignment {
 	}
 	capacity := float64(n)/float64(k) + 1
 	sizes := make([]int64, k)
-	order := bfsOrder(g, seed)
 	neigh := make([]int64, k) // scratch: neighbours already in each part
-
-	for _, v := range order {
-		for i := range neigh {
-			neigh[i] = 0
-		}
-		for _, h := range g.Adj(v) {
-			if p := a.Of[h.To]; p >= 0 {
-				neigh[p]++
-			}
-		}
-		best := int32(0)
-		bestScore := -1.0
-		for p := int32(0); p < k; p++ {
-			penalty := 1 - float64(sizes[p])/capacity
-			if penalty < 0 {
-				penalty = 0
-			}
-			score := float64(neigh[p]) * penalty
-			// Deterministic tie-break: lower load, then lower part ID.
-			if score > bestScore ||
-				(score == bestScore && sizes[p] < sizes[best]) {
-				best, bestScore = p, score
-			}
-		}
-		a.Of[v] = best
-		sizes[best]++
-	}
-	fixEmpty(&a, g)
-	return a
-}
-
-// bfsOrder returns all vertices in BFS order from a seeded random root,
-// restarting at the lowest unvisited vertex for other components.
-func bfsOrder(g graph.Source, seed int64) []graph.VertexID {
-	n := g.NumVertices()
-	order := make([]graph.VertexID, 0, n)
+	// queue receives every vertex once, in BFS order; queue[head:] is
+	// still to be placed.
+	queue := make([]graph.VertexID, 0, n)
 	visited := make([]bool, n)
-	var queue []graph.VertexID
-	rng := rand.New(rand.NewSource(seed))
-	start := graph.VertexID(0)
-	if n > 0 {
-		start = rng.Int63n(n)
-	}
 	enqueue := func(v graph.VertexID) {
 		visited[v] = true
 		queue = append(queue, v)
 	}
-	enqueue(start)
-	for next := int64(0); ; {
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			order = append(order, v)
-			for _, h := range g.Adj(v) {
+	if n > 0 {
+		enqueue(rand.New(rand.NewSource(seed)).Int63n(n))
+	}
+	type span struct{ lo, hi int }
+	var (
+		byID  []int        // window positions in ascending vertex order
+		spans []span       // window position i's list is buf[spans[i].lo:spans[i].hi]
+		buf   []graph.Half // the window's copied lists
+	)
+	for head, next := 0, int64(0); ; {
+		if head == len(queue) {
+			for next < n && visited[next] {
+				next++
+			}
+			if next >= n {
+				break
+			}
+			enqueue(next)
+		}
+		end, halves := head+1, g.Degree(queue[head])
+		for end < len(queue) && halves+g.Degree(queue[end]) <= ldgWindowHalves {
+			halves += g.Degree(queue[end])
+			end++
+		}
+		window := queue[head:end]
+		byID, spans, buf = byID[:0], spans[:0], buf[:0]
+		for i := range window {
+			byID = append(byID, i)
+			spans = append(spans, span{})
+		}
+		slices.SortFunc(byID, func(i, j int) int { return cmp.Compare(window[i], window[j]) })
+		for _, i := range byID {
+			lo := len(buf)
+			buf = append(buf, g.Adj(window[i])...)
+			spans[i] = span{lo, len(buf)}
+		}
+		for i, v := range window {
+			adj := buf[spans[i].lo:spans[i].hi]
+			clear(neigh)
+			for _, h := range adj {
+				if p := a.Of[h.To]; p >= 0 {
+					neigh[p]++
+				}
+			}
+			best := int32(0)
+			bestScore := -1.0
+			for p := int32(0); p < k; p++ {
+				penalty := 1 - float64(sizes[p])/capacity
+				if penalty < 0 {
+					penalty = 0
+				}
+				score := float64(neigh[p]) * penalty
+				// Deterministic tie-break: lower load, then lower part ID.
+				if score > bestScore ||
+					(score == bestScore && sizes[p] < sizes[best]) {
+					best, bestScore = p, score
+				}
+			}
+			a.Of[v] = best
+			sizes[best]++
+			for _, h := range adj {
 				if !visited[h.To] {
 					enqueue(h.To)
 				}
 			}
 		}
-		for next < n && visited[next] {
-			next++
-		}
-		if next >= n {
-			break
-		}
-		enqueue(next)
+		head = end
 	}
-	return order
+	fixEmpty(&a, g)
+	return a
 }
 
 // fixEmpty moves one vertex into any empty partition so downstream code can
